@@ -38,12 +38,13 @@ use std::time::{Duration, Instant};
 /// Write-once result slots shared by the sweep workers, one per item.
 ///
 /// The scheduler guarantees each index is claimed by exactly one worker
-/// (a `fetch_add` cursor hands out disjoint chunks), so each slot is
+/// (a `fetch_add` cursor hands out each index once), so each slot is
 /// written exactly once, with no concurrent access — which makes a plain
 /// `UnsafeCell<MaybeUninit<T>>` sound and replaces the previous
 /// `Vec<Mutex<Option<T>>>` (a lock round-trip per result). The scope join
 /// between the writes and [`into_vec`](ResultSlots::into_vec) provides the
-/// happens-before edge that publishes the values. If a measurement closure
+/// happens-before edge that publishes the values (a lone worker runs on the
+/// reading thread and needs none). If a measurement closure
 /// panics, the unwind is caught, the sweep aborts and re-panics *after* the
 /// scope join with a diagnostic naming the configuration — and the slots
 /// are leaked, never read: no use of uninitialized memory.
@@ -195,15 +196,16 @@ impl SweepExecutor {
     /// `make_state`, calling `f(state, item, config_seed)` per item.
     /// Results are returned in the order of `items`.
     ///
-    /// Work distribution is a shared atomic cursor claimed in *chunks*
-    /// (dynamic scheduling with amortized cursor traffic): each worker
-    /// claims a run of consecutive indices per `fetch_add`, so cursor
-    /// contention and per-item scheduling overhead shrink by the chunk
-    /// length, while load imbalance between configurations still cannot
-    /// idle workers for long. Each worker constructs its state once, before
-    /// entering the steal loop. Results land in lock-free write-once slots
-    /// ([`ResultSlots`]); because `f`'s output depends only on
-    /// `(item, config_seed)`, the schedule cannot leak into the results.
+    /// Work distribution is a shared atomic cursor from which each worker
+    /// claims one index per `fetch_add`, so a worker is never idle while an
+    /// unclaimed item remains. A claim costs nanoseconds against a
+    /// measurement's milliseconds, so claiming in chunks would save nothing
+    /// and would let one worker hold several costly items while another
+    /// idles. Each worker constructs its state once, before entering the
+    /// claim loop; a single worker runs on the calling thread. Results land
+    /// in lock-free write-once slots ([`ResultSlots`]); because `f`'s output
+    /// depends only on `(item, config_seed)`, the schedule cannot leak into
+    /// the results.
     pub fn map_with<S, C, T>(
         &self,
         items: &[C],
@@ -217,90 +219,60 @@ impl SweepExecutor {
         if items.is_empty() {
             return Vec::new();
         }
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            let mut state = make_state();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    catch_unwind(AssertUnwindSafe(|| f(&mut state, item, self.config_seed(i))))
-                        .unwrap_or_else(|payload| {
-                            panic!(
-                                "sweep worker panicked on config #{i} of {}: {}",
-                                items.len(),
-                                panic_payload_message(payload.as_ref())
-                            )
-                        })
-                })
-                .collect();
-        }
-
-        // Chunk length: ~4 claims per worker over the sweep balances cursor
-        // amortization against tail imbalance; capped so enormous sweeps
-        // still rebalance.
-        let chunk = items.len().div_ceil(workers * 4).clamp(1, 64);
         let cursor = AtomicUsize::new(0);
         let slots = ResultSlots::new(items.len());
         // A panicking closure aborts the sweep, but with a *diagnostic*:
-        // the unwind is caught in the worker, the failing configuration and
-        // chunk are recorded here (first panic wins), the other workers
-        // stop claiming, and the sweep re-panics after the join with the
-        // config index in the message. The opaque alternative — letting the
+        // the unwind is caught in the worker, the failing configuration is
+        // recorded here (first panic wins), the other workers stop
+        // claiming, and the sweep re-panics after the join with the config
+        // index in the message. The opaque alternative — letting the
         // unwind tear down the scope — would lose which request killed the
         // pool, which a serving layer cannot afford.
         let panic_note: Mutex<Option<String>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
         let run_worker = || {
-            // Worker state is built once per worker, outside the steal loop.
+            // Worker state is built once per worker, outside the claim loop.
             let mut state = make_state();
-            loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                let end = (start + chunk).min(items.len());
-                for (i, item) in (start..end).zip(&items[start..end]) {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        f(&mut state, item, self.config_seed(i))
-                    })) {
-                        // SAFETY: the `fetch_add` cursor hands out disjoint
-                        // chunks, so index `i` is claimed by this worker
-                        // alone and written exactly once — the contract of
-                        // `write`.
-                        Ok(out) => unsafe { slots.write(i, out) },
-                        Err(payload) => {
-                            let msg = format!(
-                                "sweep worker panicked on config #{i} \
-                                 (chunk {start}..{end} of {}): {}",
-                                items.len(),
-                                panic_payload_message(payload.as_ref())
-                            );
-                            lock_unpoisoned(&panic_note).get_or_insert(msg);
-                            abort.store(true, Ordering::Relaxed);
-                            return;
-                        }
+            while !abort.load(Ordering::Relaxed) {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                match catch_unwind(AssertUnwindSafe(|| f(&mut state, item, self.config_seed(i)))) {
+                    // SAFETY: the `fetch_add` cursor hands out each index
+                    // once, so index `i` is claimed by this worker alone and
+                    // written exactly once — the contract of `write`.
+                    Ok(out) => unsafe { slots.write(i, out) },
+                    Err(payload) => {
+                        let msg = format!(
+                            "sweep worker panicked on config #{i} of {}: {}",
+                            items.len(),
+                            panic_payload_message(payload.as_ref())
+                        );
+                        lock_unpoisoned(&panic_note).get_or_insert(msg);
+                        abort.store(true, Ordering::Relaxed);
+                        return;
                     }
                 }
             }
         };
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| run_worker());
-            }
-        })
-        .expect("sweep scope panicked outside the worker catch-unwind");
+        let workers = self.threads.min(items.len());
+        if workers == 1 {
+            run_worker();
+        } else {
+            crossbeam::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|_| run_worker());
+                }
+            })
+            .expect("sweep scope panicked outside the worker catch-unwind");
+        }
         if let Some(msg) = panic_note.into_inner().unwrap_or_else(PoisonError::into_inner) {
             // The slots are leaked, never read — see the `ResultSlots` doc.
             panic!("{msg}");
         }
 
-        // SAFETY: the scope joined every worker, no worker panicked, and
-        // all indices up to `items.len()` were claimed, so every slot is
-        // initialized.
+        // SAFETY: every worker has returned (run inline or joined by the
+        // scope), no worker panicked, and all indices up to `items.len()`
+        // were claimed, so every slot is initialized.
         unsafe { slots.into_vec() }
     }
 
@@ -814,11 +786,11 @@ mod tests {
     }
 
     #[test]
-    fn chunked_claiming_covers_every_length() {
-        // Exercise chunk-boundary arithmetic: lengths around multiples of
-        // the chunk size, odd worker counts, workers > items.
+    fn claiming_covers_every_length() {
+        // Exercise the claim loop's bounds: one worker on the calling
+        // thread, odd worker counts, workers > items.
         for len in [1usize, 2, 3, 7, 16, 63, 64, 65, 129] {
-            for threads in [2usize, 3, 8, 200] {
+            for threads in [1usize, 2, 3, 8, 200] {
                 let items: Vec<usize> = (0..len).collect();
                 let exec = SweepExecutor::new(5).with_threads(threads);
                 let out = exec.map(&items, |x, _| x + 1);
@@ -829,9 +801,9 @@ mod tests {
     }
 
     #[test]
-    fn results_are_bitwise_identical_across_chunking_schedules() {
-        // The determinism contract must be independent of the chunk size
-        // implied by the worker count.
+    fn results_are_bitwise_identical_across_claiming_schedules() {
+        // The determinism contract must be independent of which worker
+        // claims which configuration.
         let items: Vec<f64> = (1..=40).map(|i| 5.0 * i as f64).collect();
         let measure = |threads: usize| {
             SweepExecutor::new(4242).with_threads(threads).run_measured(
@@ -846,6 +818,30 @@ mod tests {
         for threads in [3usize, 5, 16] {
             assert_eq!(serial, measure(threads), "threads {threads}");
         }
+    }
+
+    #[test]
+    fn two_workers_run_the_first_two_items_at_once() {
+        // Sweeps enumerate their costliest configurations first, so those
+        // must go to different workers: each of items 0 and 1 marks itself
+        // started, then waits up to 10 s for the other to start.
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let items: Vec<usize> = (0..16).collect();
+        let met = SweepExecutor::new(3).with_threads(2).map(&items, |&i, _| {
+            if i >= 2 {
+                return true;
+            }
+            started[i].store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !started[1 - i].load(Ordering::SeqCst) {
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert!(met[0] && met[1], "items 0 and 1 ran one after the other");
     }
 
     #[test]
@@ -1029,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep worker panicked on config #7")]
+    #[should_panic(expected = "sweep worker panicked on config #7 of 64: bad config")]
     fn parallel_worker_panic_names_the_config() {
         // The improved diagnostic: the sweep still aborts on a panicking
         // closure, but the message names the configuration instead of the
@@ -1043,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep worker panicked on config #3 of 8")]
+    #[should_panic(expected = "sweep worker panicked on config #3 of 8: bad config")]
     fn serial_worker_panic_names_the_config() {
         let items: Vec<usize> = (0..8).collect();
         SweepExecutor::serial(1).map(&items, |&x, _| {
@@ -1065,10 +1061,10 @@ mod tests {
             });
         }))
         .expect_err("the sweep must re-panic");
-        let msg = panic_payload_message(payload.as_ref());
-        assert!(msg.contains("config #19"), "{msg}");
-        assert!(msg.contains("meter wedged on config 19"), "{msg}");
-        assert!(msg.contains("of 32"), "{msg}");
+        assert_eq!(
+            panic_payload_message(payload.as_ref()),
+            "sweep worker panicked on config #19 of 32: meter wedged on config 19"
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Chunked lock-free work claiming shared by the threaded host kernels.
 //!
-//! Mirrors the scheduler of `enprop_apps::parallel` (which lives
-//! *downstream* of this crate, so importing it here would be circular): a
-//! shared atomic cursor hands each worker a run of consecutive work
+//! A shared atomic cursor hands each worker a run of consecutive work
 //! indices per `fetch_add`, amortizing cursor traffic by the chunk length
 //! while dynamic claiming still keeps stragglers from idling the other
-//! workers.
+//! workers. The sweep executor in `enprop_apps::parallel` claims one item
+//! at a time instead, because sweep configurations differ in cost by
+//! orders of magnitude; a kernel's rows cost about the same.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -142,8 +142,17 @@ impl StudentT {
         if (p - 0.5).abs() < 1e-15 {
             return 0.0;
         }
-        // Bracket the root; t quantiles are modest for the p we use.
+        // Bracket the root so that cdf(lo) < p <= cdf(hi). ±1000 holds
+        // every quantile the protocol uses at 95%, but heavy tails at small
+        // df put extreme ones far outside it (df = 1 at p = 0.99995 is
+        // 6366.2), so double the bracket outward until it holds the root.
         let (mut lo, mut hi) = (-1.0e3, 1.0e3);
+        while self.cdf(hi) < p {
+            (lo, hi) = (hi, 2.0 * hi);
+        }
+        while self.cdf(lo) >= p {
+            (lo, hi) = (2.0 * lo, lo);
+        }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
             if self.cdf(mid) < p {
@@ -265,6 +274,26 @@ mod tests {
         close(StudentT::new(29.0).two_sided_critical(0.95), 2.045, 1e-3);
         // t → normal as df → ∞.
         close(StudentT::new(1.0e6).two_sided_critical(0.95), 1.95996, 1e-3);
+    }
+
+    #[test]
+    fn student_t_extreme_quantiles_leave_the_initial_bracket() {
+        let rel_close = |got: f64, exact: f64| {
+            assert!(((got - exact) / exact).abs() <= 1e-6, "{got} vs exact {exact}");
+        };
+        // df = 1 is the Cauchy distribution: t* = tan(π(p − ½)), beyond
+        // ±1000 at these confidences (6366.2 and 63662).
+        for confidence in [0.9999, 0.99999] {
+            let exact = (std::f64::consts::PI * confidence / 2.0).tan();
+            rel_close(StudentT::new(1.0).two_sided_critical(confidence), exact);
+            rel_close(-StudentT::new(1.0).inv_cdf(0.5 - confidence / 2.0), exact);
+        }
+        // df = 2: t* = (2p − 1) / √(2p(1 − p)) = 99.9925, inside the first
+        // bracket, so its bits must not change.
+        let p: f64 = 0.5 + 0.9999 / 2.0;
+        let t2 = StudentT::new(2.0).two_sided_critical(0.9999);
+        rel_close(t2, (2.0 * p - 1.0) / (2.0 * p * (1.0 - p)).sqrt());
+        assert_eq!(t2.to_bits(), 0x4058_ff85_1e10_7cef);
     }
 
     #[test]

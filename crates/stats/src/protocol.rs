@@ -14,6 +14,45 @@
 use crate::describe::Summary;
 use crate::dist::{ChiSquared, Normal, StudentT};
 use crate::running::Running;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Two-sided Student-t critical values memoized by `(df, confidence bits)`.
+///
+/// The stopping rule needs `t*(df, confidence)` after every repetition, each
+/// a ~51-step bisection, but a sweep asks for only a few dozen distinct
+/// values. A miss is computed outside the lock by
+/// [`StudentT::two_sided_critical`] itself, so a memoized value has exactly
+/// the bits of a fresh one, and two threads missing on one key store the
+/// same bits.
+struct CriticalValues(Mutex<BTreeMap<(usize, u64), f64>>);
+
+impl CriticalValues {
+    const fn new() -> Self {
+        Self(Mutex::new(BTreeMap::new()))
+    }
+
+    fn get(&self, df: usize, confidence: f64) -> f64 {
+        let key = (df, confidence.to_bits());
+        if let Some(&t) = self.table().get(&key) {
+            return t;
+        }
+        let t = StudentT::new(df as f64).two_sided_critical(confidence);
+        self.table().insert(key, t);
+        t
+    }
+
+    /// Every entry is final when inserted, so a poisoned lock is recovered.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<(usize, u64), f64>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Process-wide, not thread-local: the sweep daemon serves each request on
+/// a fresh thread, which would refill its own table on every cache miss. A
+/// loop stops by `max_reps`, so it adds at most `max_reps − 1` entries for
+/// its confidence level.
+static CRITICAL_VALUES: CriticalValues = CriticalValues::new();
 
 /// Parameters of the CI stopping rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,8 +153,7 @@ where
         if samples.len() < cfg.min_reps {
             continue;
         }
-        let t_crit =
-            StudentT::new((running.count() - 1) as f64).two_sided_critical(cfg.confidence);
+        let t_crit = CRITICAL_VALUES.get(running.count() - 1, cfg.confidence);
         let half = t_crit * running.sem();
         let mean = running.mean();
         let ok = mean != 0.0 && half <= cfg.precision * mean.abs();
@@ -272,6 +310,53 @@ mod tests {
         assert_eq!(r, Err("reading lost"));
         // One good rep, then the failure: no further observations drawn.
         assert_eq!(calls, 2);
+    }
+
+    #[test]
+    fn critical_value_memo_returns_the_exact_bits_cold_and_warm() {
+        let keys: Vec<(usize, f64)> = [0.9, 0.95, 0.99]
+            .into_iter()
+            .flat_map(|confidence| (1..=999).map(move |df| (df, confidence)))
+            .collect();
+        let fresh: Vec<u64> = keys
+            .iter()
+            .map(|&(df, confidence)| {
+                StudentT::new(df as f64).two_sided_critical(confidence).to_bits()
+            })
+            .collect();
+        let memo = CriticalValues::new();
+        // Four threads fill the cold table at once, each starting a quarter
+        // of the way further along, then all four read it warm.
+        for pass in ["cold", "warm"] {
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for worker in 0..4 {
+                    let (keys, fresh, memo, start) = (&keys, &fresh, &memo, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for k in 0..keys.len() {
+                            let j = (k + worker * keys.len() / 4) % keys.len();
+                            let (df, confidence) = keys[j];
+                            assert_eq!(
+                                memo.get(df, confidence).to_bits(),
+                                fresh[j],
+                                "{pass}: df {df}, confidence {confidence}"
+                            );
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!(memo.table().len(), keys.len());
+    }
+
+    #[test]
+    fn protocol_memo_is_shared_across_threads() {
+        // A confidence level no other test uses, so this test owns its keys.
+        let cfg = MeasureConfig { confidence: 0.9375, ..MeasureConfig::default() };
+        let m = std::thread::spawn(move || measure_until_ci(cfg, || 42.0)).join().unwrap();
+        assert_eq!(m.reps, 3);
+        assert!(CRITICAL_VALUES.table().contains_key(&(2, cfg.confidence.to_bits())));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The parallel sweep engine's determinism contract, end to end: every
-//! measured sweep is bitwise-identical at 1, 2, and 8 worker threads, and
-//! the SplitMix64 seed splitter hands every configuration a distinct,
-//! enumeration-order-independent RNG stream.
+//! measured sweep is bitwise-identical at 1, 2, and 8 worker threads, the
+//! SplitMix64 seed splitter hands every configuration a distinct,
+//! enumeration-order-independent RNG stream, and two measured outputs stay
+//! byte-for-byte what they were when their fingerprints were recorded.
 
 use enprop::apps::{
     fft2d::{Fft2dApp, Processor},
@@ -10,7 +11,46 @@ use enprop::apps::{
 use enprop::cpusim::BlasFlavor;
 use enprop::gpusim::GpuArch;
 use enprop::power::FaultPlan;
+use enprop_bench::fig8;
 use proptest::prelude::*;
+
+/// FNV-1a 64 over `bytes`: a dependency-free fingerprint of serialized
+/// output.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Asserts that `json` hashes to the recorded `golden` fingerprint.
+fn assert_golden(what: &str, json: &str, golden: u64) {
+    let found = fnv1a64(json.as_bytes());
+    assert_eq!(
+        found,
+        golden,
+        "{what}: serialized output ({} bytes) hashes to {found:#018x}, recorded {golden:#018x}",
+        json.len()
+    );
+}
+
+#[test]
+fn measured_gpu_sweep_bytes_match_golden() {
+    // K40c, N = 512, 4 products: 86 configurations whose Student-t loops
+    // run from 3 to 40 repetitions, so the critical values of df 2..=39
+    // all feed the pinned bytes.
+    let sweep =
+        GpuMatMulApp::new(GpuArch::k40c(), 4).sweep_measured(512, &SweepExecutor::serial(42));
+    assert_eq!(sweep.len(), 86);
+    let json = serde_json::to_string(&sweep).expect("serialize sweep");
+    assert_golden("k40c N=512 sweep", &json, 0xac92_bf09_50d6_38ca);
+}
+
+#[test]
+fn measured_fig8_bytes_match_golden() {
+    let panels = fig8::generate_measured_with(&SweepExecutor::new(42).with_threads(2));
+    let json = serde_json::to_string(&panels).expect("serialize fig8");
+    assert_golden("fig8 measured", &json, 0x78a0_7968_0993_995e);
+}
 
 /// Executors with the same seed at the three canonical thread counts.
 fn executors(seed: u64) -> [SweepExecutor; 3] {
