@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MeasureError {
     /// The baseline-capture window is shorter than the meter can resolve
-    /// (fewer than two samples, or shorter than one sample period).
+    /// (fewer than two samples, or shorter than one sample period), or is
+    /// not a finite length at all (NaN or infinite).
     BaselineTooShort {
         /// The requested capture window.
         window: Seconds,
@@ -76,6 +77,13 @@ pub enum MeasureError {
 impl std::fmt::Display for MeasureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MeasureError::BaselineTooShort { window, sample_period } if !window.is_finite() => {
+                write!(
+                    f,
+                    "baseline window {window} is not a finite length (meter samples every \
+                     {sample_period})"
+                )
+            }
             MeasureError::BaselineTooShort { window, sample_period } => write!(
                 f,
                 "baseline window {window} is too short for a meter sampling every {sample_period}"

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 //! Power-measurement substrate.
 //!

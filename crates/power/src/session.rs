@@ -77,8 +77,8 @@ impl<M: Meter> EnergySession<M> {
     /// HCLWATTSUP does before any application run.
     ///
     /// Fails with [`MeasureError::BaselineTooShort`] when `window` cannot
-    /// hold two meter samples, and propagates any meter failure during the
-    /// capture.
+    /// hold two meter samples or is not a finite length, and propagates any
+    /// meter failure during the capture.
     pub fn try_with_baseline_window(meter: M, window: Seconds) -> Result<Self, MeasureError> {
         let mut s = Self::cold(meter, window)?;
         s.capture_baseline()?;
@@ -105,9 +105,13 @@ impl<M: Meter> EnergySession<M> {
     /// [`try_with_baseline_window`](Self::try_with_baseline_window)
     /// performs — a retryable event that belongs inside the per-attempt
     /// retry loop, not at worker construction.
+    ///
+    /// Fails with [`MeasureError::BaselineTooShort`] when `window` is shorter
+    /// than one sample period, not positive, or not finite: a NaN window
+    /// would panic inside the meter and an infinite one never finish.
     pub fn cold(meter: M, window: Seconds) -> Result<Self, MeasureError> {
         let period = meter.sample_period();
-        if window < period || window.value() <= 0.0 {
+        if !window.is_finite() || window.value() <= 0.0 || window < period {
             return Err(MeasureError::BaselineTooShort { window, sample_period: period });
         }
         Ok(Self { meter, baseline: None, baseline_window: window })
@@ -234,6 +238,19 @@ mod tests {
         let meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(90.0), 1);
         let err = EnergySession::try_with_baseline_window(meter, Seconds(0.0)).unwrap_err();
         assert!(matches!(err, MeasureError::BaselineTooShort { .. }));
+    }
+
+    #[test]
+    fn non_finite_window_is_a_typed_error_not_a_hang() {
+        for window in [Seconds(f64::NAN), Seconds(f64::INFINITY)] {
+            let meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(90.0), 1);
+            let err = EnergySession::cold(meter, window).unwrap_err();
+            assert!(matches!(err, MeasureError::BaselineTooShort { .. }), "{window:?}: {err:?}");
+            assert!(err.to_string().contains("not a finite length"), "{err}");
+            let meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(90.0), 1);
+            let err = EnergySession::try_with_baseline_window(meter, window).unwrap_err();
+            assert!(matches!(err, MeasureError::BaselineTooShort { .. }), "{window:?}: {err:?}");
+        }
     }
 
     #[test]

@@ -40,10 +40,14 @@ pub struct ConstantLoad {
 }
 
 impl ConstantLoad {
-    /// Creates a constant load. Panics on negative power/duration.
+    /// Creates a constant load. Panics on negative power, or on a duration
+    /// that is not positive and finite.
     pub fn new(power: Watts, duration: Seconds) -> Self {
         assert!(power.value() >= 0.0, "power must be non-negative");
-        assert!(duration.value() > 0.0, "duration must be positive");
+        assert!(
+            duration.value() > 0.0 && duration.is_finite(),
+            "duration must be positive and finite"
+        );
         Self { power, duration }
     }
 }
@@ -81,9 +85,10 @@ impl PiecewiseLoad {
         Self::default()
     }
 
-    /// Appends a constant segment.
+    /// Appends a constant segment. Panics on negative power, or on a length
+    /// that is not positive and finite.
     pub fn push(&mut self, len: Seconds, power: Watts) -> &mut Self {
-        assert!(len.value() > 0.0, "segment length must be positive");
+        assert!(len.value() > 0.0 && len.is_finite(), "segment length must be positive and finite");
         assert!(power.value() >= 0.0, "power must be non-negative");
         self.segments.push((len, power));
         self
@@ -218,5 +223,19 @@ mod tests {
         // ∫₀² 10 t dt = 20.
         let e = Ramp.energy();
         assert!((e.value() - 20.0).abs() < 1e-6, "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be positive and finite")]
+    fn infinite_constant_load_is_rejected() {
+        ConstantLoad::new(Watts(100.0), Seconds(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "segment length must be positive and finite")]
+    fn infinite_segment_is_rejected() {
+        PiecewiseLoad::new()
+            .push(Seconds(1.0), Watts(50.0))
+            .push(Seconds(f64::INFINITY), Watts(50.0));
     }
 }

@@ -24,6 +24,23 @@ impl PowerTrace {
         Self::default()
     }
 
+    /// Creates an empty trace with room for `samples` samples.
+    pub(crate) fn with_capacity(samples: usize) -> Self {
+        Self { samples: Vec::with_capacity(samples) }
+    }
+
+    /// Appends samples that are in time order and no earlier than the last
+    /// one: the meter's bulk path, whose timestamps are ordered by
+    /// construction, so it skips [`push`](Self::push)'s per-sample check.
+    pub(crate) fn extend_ordered(&mut self, samples: impl Iterator<Item = PowerSample>) {
+        let from = self.samples.len().saturating_sub(1);
+        self.samples.extend(samples);
+        debug_assert!(
+            self.samples[from..].windows(2).all(|w| w[0].at <= w[1].at),
+            "samples must be time-ordered"
+        );
+    }
+
     /// Appends a sample; panics if timestamps go backwards.
     pub fn push(&mut self, at: Seconds, power: Watts) {
         if let Some(last) = self.samples.last() {

@@ -4,9 +4,20 @@
 //! display resolution and a small sensor error. The simulation reproduces
 //! those characteristics so that downstream statistics face realistic
 //! measurement conditions.
+//!
+//! Every reading is defined by one libm expression — Box–Muller noise
+//! `g = √(−2 ln u₁)·cos(2π u₂)` added to the true draw, then rounded to the
+//! resolution — and [`SimulatedWattsUp::record`] returns exactly those bits.
+//! It gets there faster than evaluating libm per sample: readings are built
+//! in stack chunks of [`CHUNK`] samples, a branch-free polynomial estimate
+//! `ĝ` is computed for the whole chunk (auto-vectorized, with an AVX2
+//! instantiation where the host has it), and each sample is rounded from
+//! `ĝ` only when an exactness filter proves the libm value falls in the same
+//! resolution step; otherwise the libm expression is evaluated. See
+//! DESIGN.md, "Meter hot path".
 
 use crate::source::PowerSource;
-use crate::trace::PowerTrace;
+use crate::trace::{PowerSample, PowerTrace};
 use enprop_units::{Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,10 +54,18 @@ pub struct SimulatedWattsUp {
     rng: StdRng,
 }
 
+/// Samples per stack chunk of [`SimulatedWattsUp::record`]: large enough to
+/// amortize the vectorized pass, small enough that the five chunk arrays
+/// (2.5 KiB) stay on the stack and in L1.
+const CHUNK: usize = 64;
+
 impl SimulatedWattsUp {
     /// Creates a meter for a node with the given idle floor.
     pub fn new(spec: MeterSpec, idle_power: Watts, seed: u64) -> Self {
-        assert!(spec.sample_hz > 0.0, "sample rate must be positive");
+        assert!(
+            spec.sample_hz > 0.0 && spec.sample_hz.is_finite(),
+            "sample rate must be positive and finite"
+        );
         assert!(spec.resolution_w >= 0.0, "resolution must be non-negative");
         assert!(idle_power.value() >= 0.0, "idle power must be non-negative");
         Self { spec, idle_power, rng: StdRng::seed_from_u64(seed) }
@@ -89,45 +108,224 @@ impl SimulatedWattsUp {
     /// meter's rate from t = 0 through the app's completion (final partial
     /// interval included by sampling at the exact end time).
     pub fn record(&mut self, app: &dyn PowerSource) -> PowerTrace {
-        let period = 1.0 / self.spec.sample_hz;
+        self.record_on(app, true)
+    }
+
+    /// [`record`](Self::record) with the AVX2 chunk body allowed (`avx2`,
+    /// used when the host has it) or pinned off. The tier never changes a
+    /// reading: the exactness filter compares against libm either way.
+    fn record_on(&mut self, app: &dyn PowerSource, avx2: bool) -> PowerTrace {
+        let spec = self.spec;
+        let period = 1.0 / spec.sample_hz;
         let d = app.duration().value();
         assert!(d > 0.0, "application must run for positive time");
-        let mut trace = PowerTrace::new();
+        // Samples below `d`, the final one at `d`, and one for round-off in
+        // the accumulated timestamps; capped so no duration reserves more
+        // than a million samples up front.
+        let mut trace = PowerTrace::with_capacity((d / period).min(1e6) as usize + 3);
+        let mut at = [0.0; CHUNK];
+        let mut base = [0.0; CHUNK];
+        let mut u1 = [0.0; CHUNK];
+        let mut u2 = [0.0; CHUNK];
+        // ĝ per sample, then the sample's reading value computed from it.
+        let mut g = [0.0; CHUNK];
         let mut t = 0.0;
-        while t < d {
-            let p = self.read_at(app, Seconds(t));
-            trace.push(Seconds(t), p);
-            t += period;
+        let mut done = false;
+        while !done {
+            let mut n = 0;
+            while n < CHUNK && !done {
+                // Timestamps 0, period, 2·period, … while below `d`, then
+                // one final sample at exactly `d`; two draws per sample.
+                done = t >= d;
+                at[n] = if done { d } else { t };
+                base[n] = (self.idle_power + app.power_at(Seconds(at[n]))).value() * spec.gain;
+                u1[n] = self.rng.gen_range(1e-12..1.0);
+                u2[n] = self.rng.gen();
+                t += period;
+                n += 1;
+            }
+            gaussians(avx2, &u1[..n], &u2[..n], &mut g[..n]);
+            for (g, &base) in g[..n].iter_mut().zip(&base[..n]) {
+                *g = fast_value(spec, base, *g);
+            }
+            trace.extend_ordered((0..n).map(|i| {
+                let q = if g[i].is_nan() { libm_value(spec, base[i], u1[i], u2[i]) } else { g[i] };
+                PowerSample { at: Seconds(at[i]), power: Watts(q.max(0.0)) }
+            }));
         }
-        let p = self.read_at(app, Seconds(d));
-        trace.push(Seconds(d), p);
         trace
     }
+}
 
-    /// One noisy, quantized reading of idle + app power.
-    fn read_at(&mut self, app: &dyn PowerSource, t: Seconds) -> Watts {
-        let truth = (self.idle_power + app.power_at(t)).value();
-        let noisy = truth * self.spec.gain + self.gaussian() * self.spec.noise_sd_w;
-        let q = if self.spec.resolution_w > 0.0 {
-            (noisy / self.spec.resolution_w).round() * self.spec.resolution_w
-        } else {
-            noisy
-        };
-        Watts(q.max(0.0))
+/// One sample's reading before the clamp at 0 W: the noiseless part
+/// `base = (idle + app power) · gain` plus the Box–Muller draw `(u1, u2)`
+/// evaluated through libm, rounded to the resolution. This expression
+/// *defines* the meter: every reading equals it bit for bit, and it is the
+/// fallback wherever [`fast_value`] cannot prove that it does.
+fn libm_value(spec: MeterSpec, base: f64, u1: f64, u2: f64) -> f64 {
+    let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    let noisy = base + g * spec.noise_sd_w;
+    if spec.resolution_w > 0.0 {
+        (noisy / spec.resolution_w).round() * spec.resolution_w
+    } else {
+        noisy
     }
+}
 
-    /// Box–Muller standard normal draw.
-    fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(1e-12..1.0);
-        let u2: f64 = self.rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// 2⁵²: adding and subtracting it rounds a non-negative `x < 2⁵²` to the
+/// nearest integer without a libm call.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// Relative slack for the rounding errors of the two evaluations that the
+/// filter compares (at most seven roundings of 2⁻⁵³ between them), with
+/// four-fold headroom.
+const SLACK: f64 = 1.0 / (1u64 << 48) as f64;
+
+/// The bound `ε` on `|ĝ − g|`, where `g` is the libm evaluation of the same
+/// draw: over 10⁵ times the largest difference measured (4.2e-15·(1 + |ĝ|),
+/// mostly libm's own rounding of `2π·u₂` before its `cos`), and asserted with
+/// 10⁴ of headroom by the approximation-bound test.
+#[inline(always)]
+fn error_bound(g_hat: f64) -> f64 {
+    1e-9 * (1.0 + g_hat.abs())
+}
+
+/// The value [`libm_value`] would return, computed from the polynomial
+/// estimate `g_hat` — or NaN, which no value it vouches for can be, when the
+/// resolution step is in doubt. Branch-free, so a pass over a chunk
+/// vectorizes.
+///
+/// The libm value is `round(fl(fl(base + fl(g·sd)) / res))·res`, monotone
+/// in `g`. With `|ĝ − g| ≤ ε`, the step count `v = (base + ĝ·sd)/res`
+/// computed here is within `|sd|·ε/res` plus rounding slack of the libm
+/// one; when it is farther than that from every half-integer (and from
+/// zero, which fixes the sign of a zero reading), both round to the same
+/// integer `k`. `k` carries `v`'s sign, as `f64::round` would give it. An
+/// unquantized meter (`res == 0`) makes `v` infinite or NaN, so all of its
+/// samples fall back.
+#[inline(always)]
+fn fast_value(spec: MeterSpec, base: f64, g_hat: f64) -> f64 {
+    let MeterSpec { resolution_w: res, noise_sd_w: sd, .. } = spec;
+    let inv_res = 1.0 / res;
+    let v = (base + g_hat * sd) * inv_res;
+    let av = v.abs();
+    let k = (av + TWO_52) - TWO_52;
+    let margin =
+        (sd.abs() * error_bound(g_hat) + (base.abs() + (g_hat * sd).abs()) * SLACK) * inv_res;
+    let sure = (av < TWO_52) & (av > margin) & ((av - k).abs() < 0.5 - margin);
+    if sure {
+        k.copysign(v) * res
+    } else {
+        f64::NAN
     }
+}
+
+/// Fills `g` with the polynomial Box–Muller estimates `ĝ` of the draws
+/// `(u1, u2)`, on the AVX2 instantiation when `avx2` is set and the host has
+/// it. Both instantiations compute bitwise-identical values.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn gaussians(avx2: bool, u1: &[f64], u2: &[f64], g: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by the runtime AVX2 check above.
+        unsafe {
+            return gaussians_avx2(u1, u2, g);
+        }
+    }
+    gaussians_body(u1, u2, g);
+}
+
+/// [`gaussians_body`] compiled with AVX2 enabled (same safe body).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gaussians_avx2(u1: &[f64], u2: &[f64], g: &mut [f64]) {
+    gaussians_body(u1, u2, g);
+}
+
+/// The chunk body behind [`gaussians`]: straight-line arithmetic with no
+/// branches and no libm calls, so the loop vectorizes. It is inlined into
+/// each instantiation; rustc never fuses or reassociates floating point, so
+/// every lane computes the same IEEE operations in the same order.
+#[inline(always)]
+fn gaussians_body(u1: &[f64], u2: &[f64], g: &mut [f64]) {
+    for ((g, &u1), &u2) in g.iter_mut().zip(u1).zip(u2) {
+        *g = (-2.0 * ln(u1)).sqrt() * cos_2pi(u2);
+    }
+}
+
+/// Natural logarithm of a positive normal `x`, branch-free (fdlibm's `log`:
+/// `x = 2ᵏ(1 + f)` with `1 + f` in `[√2/2, √2)`, then `ln(1 + f)` from a
+/// polynomial in `s = f/(2 + f)`). Error below 1 ulp.
+#[inline(always)]
+fn ln(x: f64) -> f64 {
+    const LN2_HI: f64 = 0.6931471803691238;
+    const LN2_LO: f64 = 1.9082149292705877e-10;
+    const LG1: f64 = 0.6666666666666735;
+    const LG2: f64 = 0.3999999999940942;
+    const LG3: f64 = 0.2857142874366239;
+    const LG4: f64 = 0.22222198432149784;
+    const LG5: f64 = 0.1818357216161805;
+    const LG6: f64 = 0.15313837699209373;
+    const LG7: f64 = 0.14798198605116586;
+    // Bias the exponent so that mantissas at or above √2/2 carry into it:
+    // the top bits then hold k + 1023, the low bits the mantissa of 1 + f.
+    let ix = x.to_bits().wrapping_add(0x3ff0_0000_0000_0000 - 0x3fe6_a09e_0000_0000);
+    // k as a double without an integer conversion: 2⁵² + (k + 1023), minus.
+    let k = f64::from_bits(0x4330_0000_0000_0000 | (ix >> 52)) - (TWO_52 + 1023.0);
+    let f = f64::from_bits((ix & 0x000f_ffff_ffff_ffff) + 0x3fe6_a09e_0000_0000) - 1.0;
+    let hfsq = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    s * (hfsq + r) + k * LN2_LO - hfsq + f + k * LN2_HI
+}
+
+/// `cos(2πu)` for `u` in `[0, 1]`, branch-free, reduced on `u` itself:
+/// `u = n/4 + r` with `|r| ≤ 1/8` exactly, then fdlibm's sine or cosine
+/// kernel at `x = 2πr` picked and signed by the quadrant `n mod 4`.
+/// Absolute error about 1e-16.
+#[inline(always)]
+fn cos_2pi(u: f64) -> f64 {
+    const C1: f64 = 0.0416666666666666;
+    const C2: f64 = -0.001388888888887411;
+    const C3: f64 = 2.480158728947673e-5;
+    const C4: f64 = -2.7557314351390663e-7;
+    const C5: f64 = 2.087572321298175e-9;
+    const C6: f64 = -1.1359647557788195e-11;
+    const S1: f64 = -0.16666666666666632;
+    const S2: f64 = 0.00833333333332249;
+    const S3: f64 = -0.0001984126982985795;
+    const S4: f64 = 2.7557313707070068e-6;
+    const S5: f64 = -2.5050760253406863e-8;
+    const S6: f64 = 1.58969099521155e-10;
+    // 1.5·2⁵² rounds 4u to the integer n, which lands in the low bits.
+    const ROUND: f64 = 1.5 * TWO_52;
+    let m = u * 4.0 + ROUND;
+    let q = m.to_bits();
+    let r = u - (m - ROUND) * 0.25;
+    let x = r * std::f64::consts::TAU;
+    let z = x * x;
+    let w = z * z;
+    let cr = z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * (C5 + z * C6));
+    let hz = 0.5 * z;
+    let one_hz = 1.0 - hz;
+    let cos = one_hz + (((1.0 - one_hz) - hz) + z * cr);
+    let sr = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
+    let sin = x + z * x * (S1 + z * sr);
+    // cos(x + nπ/2) is cos x, −sin x, −cos x, sin x for n mod 4 = 0..3.
+    let odd = (q & 1).wrapping_neg();
+    let sign = (q.wrapping_add(1) & 2) << 62;
+    f64::from_bits(((sin.to_bits() & odd) | (cos.to_bits() & !odd)) ^ sign)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::ConstantLoad;
+    use crate::source::{ConstantLoad, PiecewiseLoad};
+    use rand::RngCore;
 
     fn quiet_spec() -> MeterSpec {
         MeterSpec { noise_sd_w: 0.0, ..MeterSpec::default() }
@@ -200,5 +398,263 @@ mod tests {
         let app = ConstantLoad::new(Watts(100.0), Seconds(2.0));
         let trace = m.record(&app);
         assert!((trace.samples()[0].power.value() - 210.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample rate must be positive and finite")]
+    fn infinite_sample_rate_is_rejected() {
+        let spec = MeterSpec { sample_hz: f64::INFINITY, ..MeterSpec::default() };
+        SimulatedWattsUp::new(spec, Watts(90.0), 1);
+    }
+
+    /// The per-sample libm loop: one Box–Muller draw and one `round` per
+    /// sample, in the meter's draw order. The oracle the chunked path must
+    /// equal bit for bit.
+    fn reference_record(
+        spec: MeterSpec,
+        idle: Watts,
+        rng: &mut StdRng,
+        app: &dyn PowerSource,
+    ) -> PowerTrace {
+        let mut read_at = |t: Seconds| {
+            let truth = (idle + app.power_at(t)).value();
+            let u1: f64 = rng.gen_range(1e-12..1.0);
+            let u2: f64 = rng.gen();
+            let gaussian = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let noisy = truth * spec.gain + gaussian * spec.noise_sd_w;
+            let q = if spec.resolution_w > 0.0 {
+                (noisy / spec.resolution_w).round() * spec.resolution_w
+            } else {
+                noisy
+            };
+            Watts(q.max(0.0))
+        };
+        let period = 1.0 / spec.sample_hz;
+        let d = app.duration().value();
+        let mut trace = PowerTrace::new();
+        let mut t = 0.0;
+        while t < d {
+            let p = read_at(Seconds(t));
+            trace.push(Seconds(t), p);
+            t += period;
+        }
+        let p = read_at(Seconds(d));
+        trace.push(Seconds(d), p);
+        trace
+    }
+
+    /// Every timestamp and reading of a trace, as bits.
+    fn bits(trace: &PowerTrace) -> Vec<(u64, u64)> {
+        trace
+            .samples()
+            .iter()
+            .map(|s| (s.at.value().to_bits(), s.power.value().to_bits()))
+            .collect()
+    }
+
+    fn idle(window: f64) -> ConstantLoad {
+        ConstantLoad::new(Watts(0.0), Seconds(window))
+    }
+
+    #[test]
+    fn chunked_meter_matches_the_libm_reference_bit_for_bit() {
+        let specs = [
+            MeterSpec::default(),
+            MeterSpec { gain: 1.05, ..MeterSpec::default() },
+            MeterSpec { gain: 0.97, noise_sd_w: 2.0, ..MeterSpec::default() },
+            MeterSpec { noise_sd_w: 0.0, ..MeterSpec::default() },
+            MeterSpec { noise_sd_w: -0.5, ..MeterSpec::default() },
+            MeterSpec { resolution_w: 0.0, ..MeterSpec::default() },
+            MeterSpec { resolution_w: 0.5, ..MeterSpec::default() },
+            MeterSpec { sample_hz: 3.0, noise_sd_w: 3.0, ..MeterSpec::default() },
+        ];
+        let warm_up = PiecewiseLoad::from_segments(vec![
+            (Seconds(3.0), Watts(210.0)),
+            (Seconds(40.5), Watts(140.0)),
+        ]);
+        let short_warm_up = PiecewiseLoad::from_segments(vec![
+            (Seconds(0.25), Watts(250.0)),
+            (Seconds(1.5), Watts(130.0)),
+        ]);
+        // Readings of 2 and 3 samples (the shortest runs a sweep meters), a
+        // 121-sample baseline, chunk-boundary lengths, ≥ 6k-sample runs,
+        // warm-ups, and zero draws — all recorded back to back, so the RNG
+        // state each reading leaves behind is compared too.
+        let zero = idle(0.4);
+        let two = ConstantLoad::new(Watts(150.0), Seconds(0.7));
+        let three = ConstantLoad::new(Watts(37.5), Seconds(1.7));
+        let baseline = idle(120.0);
+        let chunk = ConstantLoad::new(Watts(61.0), Seconds(63.0));
+        let chunk_plus = ConstantLoad::new(Watts(82.0), Seconds(64.0));
+        let long = ConstantLoad::new(Watts(95.0), Seconds(6000.5));
+        let apps: [&dyn PowerSource; 9] =
+            [&zero, &two, &three, &baseline, &warm_up, &chunk, &chunk_plus, &short_warm_up, &long];
+        let mut samples = 0;
+        for spec in specs {
+            for idle_w in [0.0, 47.25, 90.0] {
+                for seed in 0..3 {
+                    let mut meter = SimulatedWattsUp::new(spec, Watts(idle_w), seed);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    for &app in &apps {
+                        let got = meter.record(app);
+                        let want = reference_record(spec, Watts(idle_w), &mut rng, app);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "spec {spec:?}, idle {idle_w} W, seed {seed}, {} samples",
+                            want.len()
+                        );
+                        samples += got.len();
+                    }
+                    assert_eq!(meter.rng.next_u64(), rng.next_u64(), "RNG state after {spec:?}");
+                }
+            }
+        }
+        assert!(samples > 400_000, "{samples} samples compared");
+        // Many seeds on the default meter at the lengths a sweep records.
+        for seed in 0..300 {
+            let mut meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(110.0), seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for &app in &[&baseline as &dyn PowerSource, &two, &three, &warm_up] {
+                let want = reference_record(MeterSpec::default(), Watts(110.0), &mut rng, app);
+                assert_eq!(bits(&meter.record(app)), bits(&want), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn half_step_truth_falls_back_to_libm_and_rounds_half_away_from_zero() {
+        // 90 W + 10.25 W is exactly 200.5 steps of 0.5 W: `f64::round`
+        // gives 201 steps (100.5 W), round-half-to-even would give 200.
+        let spec = MeterSpec { noise_sd_w: 0.0, resolution_w: 0.5, ..MeterSpec::default() };
+        assert!(fast_value(spec, 100.25, 0.3).is_nan(), "the half step must be in doubt");
+        let mut m = SimulatedWattsUp::new(spec, Watts(90.0), 3);
+        let trace = m.record(&ConstantLoad::new(Watts(10.25), Seconds(4.0)));
+        assert_eq!(trace.len(), 5);
+        for s in trace.samples() {
+            assert_eq!(s.power.value().to_bits(), 100.5f64.to_bits(), "{s:?}");
+        }
+        // An ordinary sample is decided without libm: 1900.617 steps → 1901.
+        assert_eq!(fast_value(MeterSpec::default(), 190.0, 0.1234), 1901.0 * 0.1);
+    }
+
+    #[test]
+    fn filter_refuses_steps_within_the_error_bound_of_a_half_step_or_zero() {
+        // With noise, libm's g may lie anywhere within ε of ĝ, so a step
+        // count within |sd|·ε/res (here 1e-9) of a half step or of zero
+        // is in doubt; 1 µW away it is not.
+        let spec = MeterSpec { resolution_w: 0.5, ..MeterSpec::default() };
+        assert!(fast_value(spec, 100.25 + 1e-12, 0.0).is_nan());
+        assert!(fast_value(spec, 100.25 - 1e-12, 0.0).is_nan());
+        assert_eq!(fast_value(spec, 100.25 + 1e-6, 0.0), 100.5);
+        assert_eq!(fast_value(spec, 100.25 - 1e-6, 0.0), 100.0);
+        assert!(fast_value(spec, 0.0, 1e-12).is_nan());
+        assert!(fast_value(spec, 0.0, -1e-12).is_nan());
+        assert_eq!(fast_value(spec, 0.0, -1e-3).to_bits(), (-0.0f64).to_bits());
+    }
+
+    fn host_has_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    #[test]
+    fn avx2_and_baseline_tiers_agree_bit_for_bit() {
+        if !host_has_avx2() {
+            eprintln!("note: host lacks AVX2; only the baseline tier exists here");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in 0..=CHUNK {
+            let u1: Vec<f64> = (0..n).map(|_| rng.gen_range(1e-12..1.0)).collect();
+            let u2: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
+            let (mut base, mut avx2) = (vec![0.0; n], vec![0.0; n]);
+            gaussians(false, &u1, &u2, &mut base);
+            gaussians(true, &u1, &u2, &mut avx2);
+            let to_bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(to_bits(&base), to_bits(&avx2), "chunk of {n}");
+        }
+        let warm_up = PiecewiseLoad::from_segments(vec![
+            (Seconds(2.0), Watts(200.0)),
+            (Seconds(300.0), Watts(120.0)),
+        ]);
+        for seed in 0..20 {
+            for spec in
+                [MeterSpec::default(), MeterSpec { resolution_w: 0.0, ..MeterSpec::default() }]
+            {
+                let mut a = SimulatedWattsUp::new(spec, Watts(90.0), seed);
+                let mut b = SimulatedWattsUp::new(spec, Watts(90.0), seed);
+                for app in [&idle(120.0) as &dyn PowerSource, &warm_up, &idle(1.5)] {
+                    assert_eq!(bits(&a.record_on(app, false)), bits(&b.record_on(app, true)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn polynomial_gaussian_is_within_the_filter_bound_of_libm() {
+        let libm =
+            |u1: f64, u2: f64| (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let mut pairs = 0usize;
+        let mut check = |u1: &[f64], u2: &[f64]| {
+            let mut g = vec![0.0; u1.len()];
+            gaussians(true, u1, u2, &mut g);
+            for ((&g_hat, &u1), &u2) in g.iter().zip(u1).zip(u2) {
+                let err = (g_hat - libm(u1, u2)).abs();
+                assert!(
+                    err <= error_bound(g_hat) / 1e4,
+                    "u1 {u1:e}, u2 {u2:e}: ĝ {g_hat:e} off libm by {err:e}"
+                );
+            }
+            pairs += u1.len();
+        };
+        // Draws as the meter makes them.
+        let mut rng = StdRng::seed_from_u64(2022);
+        let (mut u1, mut u2) = ([0.0; CHUNK], [0.0; CHUNK]);
+        for _ in 0..10_000_000 / CHUNK + 1 {
+            for i in 0..CHUNK {
+                u1[i] = rng.gen_range(1e-12..1.0);
+                u2[i] = rng.gen();
+            }
+            check(&u1, &u2);
+        }
+        // Every binade of u1 down to 1e-12 (both ends and the middle),
+        // 1e-12 itself, and the values just below 1 where ln(u1) is tiny.
+        let mut edge_u1 = vec![1e-12, 1.0];
+        for e in -40..0 {
+            let b = 2f64.powi(e);
+            edge_u1.extend([b, b.next_up(), 1.5 * b, (2.0 * b).next_down()]);
+        }
+        edge_u1.retain(|&u| u >= 1e-12);
+        let mut below_one = 1.0f64;
+        for _ in 0..16 {
+            below_one = below_one.next_down();
+            edge_u1.push(below_one);
+        }
+        // u2 within a few ulps of 0, ¼, ½, ¾ and 1, plus the smallest
+        // non-zero draws the meter can make (multiples of 2⁻⁵³).
+        let mut edge_u2 = vec![0.0];
+        for q in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
+            let (mut up, mut down) = (q, q);
+            for _ in 0..4 {
+                up = up.next_up();
+                down = down.next_down();
+                edge_u2.extend([up, down]);
+            }
+            edge_u2.push(q);
+        }
+        edge_u2.extend((1..=4).map(|k| k as f64 * f64::EPSILON / 2.0));
+        edge_u2.retain(|&u| (0.0..1.0).contains(&u));
+        for &a in &edge_u1 {
+            let row: Vec<f64> = edge_u2.iter().chain(&u2).copied().collect();
+            check(&vec![a; row.len()], &row);
+        }
+        for &b in &edge_u2 {
+            let col: Vec<f64> = edge_u1.iter().chain(&u1).copied().collect();
+            check(&col, &vec![b; col.len()]);
+        }
+        assert!(pairs >= 10_000_000, "{pairs} pairs");
     }
 }

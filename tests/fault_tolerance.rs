@@ -4,9 +4,12 @@
 //! configurations that exhausted their retries, and stays
 //! bitwise-identical at 1, 2, and 8 worker threads.
 
-use enprop::apps::{GpuMatMulApp, RetryPolicy, SweepExecutor};
+use enprop::apps::{GpuMatMulApp, MeasurementRunner, RetryPolicy, SweepExecutor};
 use enprop::gpusim::GpuArch;
-use enprop::power::{FaultPlan, MeasureError};
+use enprop::power::{
+    EnergySession, FaultInjectingMeter, FaultPlan, MeasureError, MeterSpec, SimulatedWattsUp,
+};
+use enprop::units::{Seconds, Watts};
 
 /// The Fig. 7 K40c workload at N = 8704: 102 configurations.
 fn workload() -> (GpuMatMulApp, usize) {
@@ -70,4 +73,30 @@ fn zero_fault_rate_is_transparent() {
     assert!(robust.is_complete());
     assert_eq!(robust.retried, 0);
     assert_eq!(robust.points, plain);
+}
+
+/// A rig can only be built around a session that can capture a baseline: a
+/// NaN or infinite window is refused with a typed error before any
+/// reseed could panic inside the meter (NaN) or record forever (∞).
+#[test]
+fn non_finite_baseline_windows_never_reach_a_runner() {
+    for window in [Seconds(f64::NAN), Seconds(f64::INFINITY)] {
+        let meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(90.0), 1);
+        let runner =
+            EnergySession::cold(meter, window).map(|s| MeasurementRunner::from_session(s, 7));
+        assert!(
+            matches!(runner, Err(MeasureError::BaselineTooShort { .. })),
+            "{window:?}: {:?}",
+            runner.map(|_| ())
+        );
+        let inner = SimulatedWattsUp::new(MeterSpec::default(), Watts(90.0), 1);
+        let meter = FaultInjectingMeter::new(inner, FaultPlan::transient(0.05), 1);
+        let runner =
+            EnergySession::cold(meter, window).map(|s| MeasurementRunner::from_session(s, 7));
+        assert!(
+            matches!(runner, Err(MeasureError::BaselineTooShort { .. })),
+            "{window:?}: {:?}",
+            runner.map(|_| ())
+        );
+    }
 }
