@@ -116,19 +116,19 @@
 //! coefficient refitted as an exact integer polynomial in the config
 //! parameters), then analytically sweeps every fig7/fig8 lattice
 //! configuration — race, out-of-bounds, and barrier checks plus
-//! closed-form event counts, in microseconds per config. It also re-runs
-//! the static analyzer over the seeded buggy fixture corpus (each must be
-//! flagged by the same checker, naming the same phase and buffer as the
-//! dynamic sanitizer) and cross-validates the closed-form counters
+//! closed-form event counts, in under a millisecond per config. It also
+//! re-runs the static analyzer over the seeded buggy fixture corpus (each
+//! must be flagged by the same checker, naming the same phase and buffer
+//! as the dynamic sanitizer) and cross-validates the closed-form counters
 //! bitwise against flushed `EmuEvents` on executable validation configs.
 //! `--json DIR` writes `VERIFY_static.json`; the exit code is non-zero on
 //! any finding, fallback, missed fixture, parity failure, or count
 //! mismatch. The matching `static_verify` section of `bench-json` times
 //! the full static pipeline (model learning + four-lattice analytic
-//! sweep) against the dynamic `sanitize --all` instrumented sweep and,
-//! with `--check`, fails unless the static path is at least 10x faster,
-//! the lattices are proven clean, all fixtures are caught with dynamic
-//! parity, and every validated count is bitwise-exact.
+//! sweep) against the dynamic `sanitize --all` instrumented sweep, both on
+//! every host core, and, with `--check`, fails unless the static path is
+//! at least 10x faster, the lattices are proven clean, all fixtures are
+//! caught with dynamic parity, and every validated count is bitwise-exact.
 
 use enprop_apps::checkpoint::{CrashPlan, SweepCheckpoint};
 use enprop_apps::{GpuMatMulApp, RetryPolicy, SweepExecutor, SweepFailure};
@@ -901,7 +901,8 @@ struct BenchReport {
 /// full pipeline (probe-based model learning + the analytic sweep of
 /// every fig7/fig8 lattice config) timed against the dynamic
 /// `sanitize --all` instrumented sweep, plus the fixture corpus and the
-/// closed-form counter cross-validation.
+/// closed-form counter cross-validation. Both timed sides run on every
+/// host core (`host_parallelism()` workers), independent of `--threads`.
 #[derive(serde::Serialize)]
 struct StaticVerifyBench {
     /// Workload description.

@@ -48,6 +48,7 @@
 use super::mem::{BlockCounters, BufId, EventCounters, GlobalMem};
 use crate::arch::GpuArch;
 use crate::occupancy::Occupancy;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A 2-D extent (grid or block dimensions).
@@ -792,6 +793,54 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Maps `f` over `0..items` on up to `workers` scoped threads and returns
+/// the results in index order.
+///
+/// Each worker claims one index per `fetch_add`, so a worker is never idle
+/// while an unclaimed item remains: the callers' items (sanitized launches,
+/// lattice configs, probe launches) differ in cost by up to ~100×, and
+/// claiming in chunks would let one worker hold several costly items while
+/// another idles. The result order, and so any output assembled from it,
+/// does not depend on the schedule. With one worker (or at most one item)
+/// `f` runs on the calling thread. A panic in `f` is re-raised on the
+/// caller with its original payload.
+pub fn par_map<T: Send>(items: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(items);
+    if workers <= 1 {
+        return (0..items).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = join_workers(workers, || {
+        let mut mine = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items {
+                return mine;
+            }
+            mine.push((i, f(i)));
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
+}
+
+/// Runs `work` on `workers` scoped threads and returns each one's result,
+/// in spawn order. The handles are joined explicitly so that the first
+/// worker panic (in spawn order) is re-raised with its own payload:
+/// `std::thread::scope` would replace it with a generic message.
+fn join_workers<R: Send>(workers: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&work)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    })
+}
+
 impl WavePlan {
     /// A fixed wave width (clamped to at least 1) — the test override.
     pub fn fixed(width: usize) -> Self {
@@ -982,24 +1031,20 @@ fn run_grid_with<K: BlockKernel, S: AccessSink + Default>(
         return;
     }
 
-    // Chunked claiming: amortize cursor traffic over runs of blocks.
+    // Chunked claiming: blocks of one launch cost about the same, so
+    // amortize cursor traffic over runs of blocks.
     let chunk = blocks.len().div_ceil(wave * 4).clamp(1, 64);
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..wave {
-            scope.spawn(|_| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= blocks.len() {
-                    break;
-                }
-                let end = (start + chunk).min(blocks.len());
-                for &(bx, by) in &blocks[start..end] {
-                    run_block::<K, S>(kernel, bx, by, events);
-                }
-            });
+    join_workers(wave, || loop {
+        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= blocks.len() {
+            break;
         }
-    })
-    .expect("block wave panicked");
+        let end = (start + chunk).min(blocks.len());
+        for &(bx, by) in &blocks[start..end] {
+            run_block::<K, S>(kernel, bx, by, events);
+        }
+    });
 }
 
 /// Runs `kernel` over `grid` blocks with `plan.width()` blocks in flight.
@@ -1244,6 +1289,65 @@ mod tests {
     fn divergent_phase_counts_fail_loudly() {
         let events = EventCounters::new();
         run_grid(Dim2::new(1, 1), &Divergent, &events, WavePlan::fixed(1));
+    }
+
+    /// The same diagnostic must survive a multi-worker wave, where the
+    /// panic happens on a spawned thread rather than the caller.
+    #[test]
+    #[should_panic(expected = "__syncthreads divergence")]
+    fn divergent_phase_counts_fail_loudly_in_a_parallel_wave() {
+        let events = EventCounters::new();
+        run_grid(Dim2::new(2, 1), &Divergent, &events, WavePlan::fixed(2));
+    }
+
+    #[test]
+    fn par_map_visits_every_index_once_in_order() {
+        for items in [0usize, 1, 5, 39, 408] {
+            for workers in [1usize, 2, 3, 8, 2000] {
+                let hits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
+                let out = par_map(items, workers, |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                });
+                let expect: Vec<usize> = (0..items).map(|i| i * 3).collect();
+                assert_eq!(out, expect, "items = {items}, workers = {workers}");
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "items = {items}, workers = {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_runs_items_concurrently() {
+        // A rendezvous with a timeout: each item waits for the other to
+        // arrive, so two concurrent workers meet, while a serial map times
+        // out on item 0 instead of hanging.
+        let arrived = std::sync::Mutex::new(0usize);
+        let all_here = std::sync::Condvar::new();
+        let met = par_map(2, 2, |_| {
+            let mut count = arrived.lock().expect("no item panics holding the lock");
+            *count += 1;
+            all_here.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            let (_count, wait) = all_here
+                .wait_timeout_while(count, timeout, |count| *count < 2)
+                .expect("no item panics holding the lock");
+            !wait.timed_out()
+        });
+        assert_eq!(met, [true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn par_map_reraises_a_worker_panic_with_its_payload() {
+        par_map(8, 2, |i| {
+            if i == 5 {
+                panic!("item {i} failed");
+            }
+            i
+        });
     }
 
     #[test]

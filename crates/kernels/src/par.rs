@@ -71,12 +71,17 @@ pub(crate) fn claim_chunks(items: usize, workers: usize, work: impl Fn(usize, us
         }
         work(start, (start + chunk).min(items));
     };
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| run_worker());
+    // Join each handle explicitly so a worker panic is re-raised with its
+    // own payload; `std::thread::scope` would replace it with a generic
+    // message.
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
-    })
-    .expect("kernel worker scope failed");
+    });
 }
 
 #[cfg(test)]
@@ -103,5 +108,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk at 64 failed")]
+    fn a_worker_panic_keeps_its_payload() {
+        claim_chunks(256, 2, |start, _| {
+            if start == 64 {
+                panic!("chunk at {start} failed");
+            }
+        });
     }
 }

@@ -8,12 +8,18 @@
 //! row-major order, and every diagnostic names buffers by their
 //! registered name — so a report is bit-for-bit reproducible across runs
 //! and machines.
+//!
+//! A sweep ([`sanitize_all`]) runs its launches concurrently on
+//! [`host_parallelism`] workers. Launches share no state — each has its
+//! own buffers and [`LaunchMonitor`] — and the reports are assembled in
+//! sweep order, so the sweep's report is the same bytes at any core count.
 
 use crate::monitor::{BufferTable, LaunchMonitor};
 use crate::prelaunch;
 use crate::report::Finding;
 use enprop_gpusim::emulator::{
-    run_grid_monitored_sampled, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem,
+    host_parallelism, par_map, run_grid_monitored_sampled, BlockKernel, Dim2, EmuDgemm, EmuRowFft,
+    EventCounters, GlobalMem,
 };
 use enprop_gpusim::model::max_group;
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
@@ -376,13 +382,20 @@ pub fn sanitize_all(arch: &GpuArch, all: bool) -> SanitizeReport {
 
 /// [`sanitize_all`] under a [`SampleSpec`]: the production-scale sweep
 /// mode (`repro sanitize --sample K`).
+///
+/// Launches run concurrently on [`host_parallelism`] workers, one launch
+/// per claim; each keeps its own monitor and runs its blocks serially, and
+/// the reports are assembled in sweep order (DGEMM grid, then FFT grid).
 pub fn sanitize_all_sampled(arch: &GpuArch, all: bool, sample: SampleSpec) -> SanitizeReport {
-    let mut kernels = Vec::new();
-    for cfg in dgemm_grid(arch, all) {
-        kernels.push(sanitize_dgemm_sampled(cfg, arch, sample));
-    }
-    for (n, rows) in fft_grid(all) {
-        kernels.push(sanitize_fft_sampled(n, rows, arch, sample));
-    }
+    let dgemms = dgemm_grid(arch, all);
+    let ffts = fft_grid(all);
+    let launch = |i: usize| match dgemms.get(i) {
+        Some(&cfg) => sanitize_dgemm_sampled(cfg, arch, sample),
+        None => {
+            let (n, rows) = ffts[i - dgemms.len()];
+            sanitize_fft_sampled(n, rows, arch, sample)
+        }
+    };
+    let kernels = par_map(dgemms.len() + ffts.len(), host_parallelism(), launch);
     SanitizeReport { arch: arch.name.clone(), kernels }
 }

@@ -557,6 +557,14 @@ fn check_global_inter(cs: &CheckSpace, out: &mut Vec<StaticFinding>, fallbacks: 
                 // Equal linear parts: solve on deltas. addrA == addrB ⇔
                 // c1·Δtx + c2·Δty + dk·Δk + c3·Δbx + c4·Δby = c0B − c0A
                 // with (Δbx, Δby) ≠ (0, 0).
+                //
+                // GCD prefilter: an integer (Δbx, Δby) exists only if
+                // g = gcd(c3, c4) divides the right-hand side (for g = 0,
+                // only if it is 0). `solve_2var` answers `None` on exactly
+                // the deltas skipped here, so the first witness is
+                // unchanged; g is computed once per family pair instead of
+                // once per delta.
+                let (g, _, _) = ext_gcd(fa.co.c3, fa.co.c4);
                 let kk = fa.k.max(fb.k) as i128;
                 'delta: for dk_ in 1 - kk..kk {
                     for dtx in 1 - bw..bw {
@@ -565,6 +573,10 @@ fn check_global_inter(cs: &CheckSpace, out: &mut Vec<StaticFinding>, fallbacks: 
                                 - fa.co.c1 * dtx
                                 - fa.co.c2 * dty
                                 - fa.co.dk * dk_;
+                            let divisible = if g == 0 { rhs == 0 } else { rhs % g == 0 };
+                            if !divisible {
+                                continue;
+                            }
                             if let Some((dbx, dby)) = solve_2var(
                                 fa.co.c3,
                                 fa.co.c4,
@@ -573,9 +585,7 @@ fn check_global_inter(cs: &CheckSpace, out: &mut Vec<StaticFinding>, fallbacks: 
                                 (1 - gy, gy - 1),
                                 Some((0, 0)),
                             ) {
-                                out.push(inter_block_finding(
-                                    ga, fa, fb, (dbx, dby), reported,
-                                ));
+                                out.push(inter_block_finding(ga, fa, fb, (dbx, dby)));
                                 reported += 1;
                                 break 'delta;
                             }
@@ -612,7 +622,6 @@ fn check_global_inter(cs: &CheckSpace, out: &mut Vec<StaticFinding>, fallbacks: 
                                                         fa,
                                                         fb,
                                                         (p.0 - bxa, p.1 - bya),
-                                                        reported,
                                                     ));
                                                     reported += 1;
                                                     break 'full;
@@ -647,7 +656,6 @@ fn inter_block_finding(
     fa: &CheckFamily,
     fb: &CheckFamily,
     delta: (i128, i128),
-    _reported: usize,
 ) -> StaticFinding {
     StaticFinding {
         checker: Checker::Racecheck,

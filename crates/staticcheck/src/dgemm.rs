@@ -20,7 +20,7 @@
 //! 3. **Instantiate anywhere.** Any lattice config — executable or not
 //!    — instantiates the fitted model into four role groups and runs
 //!    the analytic checks ([`crate::checks`]) plus closed-form event
-//!    counts, in microseconds.
+//!    counts, in under a millisecond.
 //!
 //! Configs whose BS does not divide N are analyzed at the padded
 //! geometry `N′ = ⌈N/BS⌉·BS` — the same convention the analytic
@@ -32,7 +32,9 @@ use crate::checks::{run_checks, CheckFamily, CheckGroup, CheckSpace};
 use crate::probe::probe_grid_dgemm;
 use crate::report::{Fallback, FallbackKind, StaticReport};
 use crate::solve::{eval_poly, fit_int_poly};
-use enprop_gpusim::emulator::{BlockExit, EmuDgemm, EmuEvents, GlobalMem};
+use enprop_gpusim::emulator::{
+    host_parallelism, par_map, BlockExit, EmuDgemm, EmuEvents, GlobalMem,
+};
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
 use enprop_sanitize::report::{AccessKind, MemSpace};
 use std::collections::BTreeMap;
@@ -326,14 +328,20 @@ fn roles_of_config(cfg: TiledDgemmConfig, shape: &LaunchShape) -> Result<ConfigR
 impl DgemmStaticModel {
     /// Learns the model from the structured probe set: probe, fit,
     /// verify — any inconsistency is a typed fallback.
+    ///
+    /// The probes are run and role-matched on [`host_parallelism`]
+    /// workers; the first fallback in probe order is the one returned.
     pub fn learn() -> Result<DgemmStaticModel, Fallback> {
         let probes = probe_set();
-        let mut per_config: Vec<(TiledDgemmConfig, ConfigRoles, EmuEvents)> = Vec::new();
-        for &cfg in &probes {
-            let (shape, events) = probe_config(cfg)?;
-            let roles = roles_of_config(cfg, &shape)?;
-            per_config.push((cfg, roles, events));
-        }
+        let per_config: Vec<(TiledDgemmConfig, ConfigRoles, EmuEvents)> =
+            par_map(probes.len(), host_parallelism(), |i| {
+                let cfg = probes[i];
+                let (shape, events) = probe_config(cfg)?;
+                let roles = roles_of_config(cfg, &shape)?;
+                Ok((cfg, roles, events))
+            })
+            .into_iter()
+            .collect::<Result<_, Fallback>>()?;
 
         // Cross-config coefficient fit, one role at a time.
         let mut roles = Vec::new();
@@ -610,11 +618,21 @@ pub fn fig_lattice_specs() -> Vec<(String, GpuArch, usize)> {
 
 /// Analytically sweeps every fig7/fig8 lattice config through the
 /// fitted model.
+///
+/// The configs of all four lattices are verified as one flat list on
+/// [`host_parallelism`] workers, then folded back per lattice in
+/// enumeration order, so the outcome does not depend on the core count.
 pub fn verify_fig_lattices(model: &DgemmStaticModel) -> Vec<LatticeSweep> {
-    fig_lattice_specs()
+    let lattices: Vec<(String, Vec<TiledDgemmConfig>)> = fig_lattice_specs()
         .into_iter()
-        .map(|(label, arch, n)| {
-            let configs = TiledDgemmConfig::enumerate(&arch, n, TOTAL_PRODUCTS);
+        .map(|(label, arch, n)| (label, TiledDgemmConfig::enumerate(&arch, n, TOTAL_PRODUCTS)))
+        .collect();
+    let flat: Vec<&TiledDgemmConfig> = lattices.iter().flat_map(|(_, cfgs)| cfgs).collect();
+    let verify = |i: usize| model.verify_config(flat[i]);
+    let mut reports = par_map(flat.len(), host_parallelism(), verify).into_iter();
+    lattices
+        .into_iter()
+        .map(|(label, configs)| {
             let mut sweep = LatticeSweep {
                 label,
                 configs: configs.len(),
@@ -622,8 +640,7 @@ pub fn verify_fig_lattices(model: &DgemmStaticModel) -> Vec<LatticeSweep> {
                 fallbacks: 0,
                 dirty: Vec::new(),
             };
-            for cfg in &configs {
-                let report = model.verify_config(cfg);
+            for report in reports.by_ref().take(configs.len()) {
                 sweep.findings += report.findings.len();
                 sweep.fallbacks += report.fallbacks.len();
                 if !report.proven_clean() {

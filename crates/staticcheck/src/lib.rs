@@ -21,7 +21,7 @@
 //!    configs' coefficients are refitted as integer polynomials in
 //!    `(BS, N)` (and event counts in `(T, BS, G, R)`), so any fig7/fig8
 //!    lattice config — far too large to execute — is verified and
-//!    counted analytically in microseconds.
+//!    counted analytically in under a millisecond.
 //!
 //! [`analyze_launch`] is the concrete entry point (used for the seeded
 //! buggy fixtures); [`dgemm::DgemmStaticModel`] is the parametric one.

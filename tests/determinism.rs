@@ -2,7 +2,10 @@
 //! measured sweep is bitwise-identical at 1, 2, and 8 worker threads, the
 //! SplitMix64 seed splitter hands every configuration a distinct,
 //! enumeration-order-independent RNG stream, and two measured outputs stay
-//! byte-for-byte what they were when their fingerprints were recorded.
+//! byte-for-byte what they were when their fingerprints were recorded. So
+//! do the kernel-verification outputs, which are computed on every host
+//! core: the full and sampled sanitizer sweep reports, the learned static
+//! DGEMM model and the fig7/fig8 lattice outcomes.
 
 use enprop::apps::{
     fft2d::{Fft2dApp, Processor},
@@ -11,7 +14,9 @@ use enprop::apps::{
 use enprop::cpusim::BlasFlavor;
 use enprop::gpusim::GpuArch;
 use enprop::power::FaultPlan;
+use enprop::sanitize::{sanitize_all, sanitize_all_sampled, SampleSpec};
 use enprop_bench::fig8;
+use enprop_staticcheck::{verify_fig_lattices, DgemmStaticModel};
 use proptest::prelude::*;
 
 /// FNV-1a 64 over `bytes`: a dependency-free fingerprint of serialized
@@ -50,6 +55,41 @@ fn measured_fig8_bytes_match_golden() {
     let panels = fig8::generate_measured_with(&SweepExecutor::new(42).with_threads(2));
     let json = serde_json::to_string(&panels).expect("serialize fig8");
     assert_golden("fig8 measured", &json, 0x78a0_7968_0993_995e);
+}
+
+#[test]
+fn sanitize_all_report_bytes_match_golden() {
+    let report = sanitize_all(&GpuArch::k40c(), false);
+    let json = serde_json::to_string(&report).expect("serialize sanitize report");
+    assert_golden("sanitize_all", &json, 0x075b_6961_889f_3bef);
+}
+
+#[test]
+fn sampled_sanitize_report_bytes_match_golden() {
+    let report = sanitize_all_sampled(&GpuArch::k40c(), false, SampleSpec::one_in(8, 42));
+    let json = serde_json::to_string(&report).expect("serialize sanitize report");
+    assert_golden("sanitize_all_sampled 1-in-8", &json, 0xca22_97d0_9f61_d043);
+}
+
+#[test]
+fn learned_static_model_bytes_match_golden() {
+    let model = DgemmStaticModel::learn().expect("the DGEMM model learns");
+    assert_golden(
+        "learned DGEMM model",
+        &format!("{model:?}"),
+        0x5e4a_ff63_bcf6_7362,
+    );
+}
+
+#[test]
+fn static_lattice_outcomes_bytes_match_golden() {
+    let model = DgemmStaticModel::learn().expect("the DGEMM model learns");
+    let lattices = verify_fig_lattices(&model);
+    assert_golden(
+        "fig7/fig8 lattices",
+        &format!("{lattices:?}"),
+        0x541e_a8f0_653c_e18b,
+    );
 }
 
 /// Executors with the same seed at the three canonical thread counts.
