@@ -24,74 +24,14 @@
 
 use crate::checkpoint::{CheckpointError, JournalRecord, SweepCheckpoint};
 use crate::runner::MeasurementRunner;
+use enprop_par::panic_message;
 use enprop_power::{MeasureError, Meter};
 use enprop_units::Seconds;
 use serde::{Deserialize, DeserializeOwned, Serialize};
-use std::cell::UnsafeCell;
 use std::collections::HashSet;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Write-once result slots shared by the sweep workers, one per item.
-///
-/// The scheduler guarantees each index is claimed by exactly one worker
-/// (a `fetch_add` cursor hands out each index once), so each slot is
-/// written exactly once, with no concurrent access — which makes a plain
-/// `UnsafeCell<MaybeUninit<T>>` sound and replaces the previous
-/// `Vec<Mutex<Option<T>>>` (a lock round-trip per result). The scope join
-/// between the writes and [`into_vec`](ResultSlots::into_vec) provides the
-/// happens-before edge that publishes the values (a lone worker runs on the
-/// reading thread and needs none). If a measurement closure
-/// panics, the unwind is caught, the sweep aborts and re-panics *after* the
-/// scope join with a diagnostic naming the configuration — and the slots
-/// are leaked, never read: no use of uninitialized memory.
-struct ResultSlots<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-}
-
-// SAFETY: sharing `&ResultSlots<T>` across workers is sound because the
-// scheduler contract above guarantees no two threads ever touch the same
-// slot (disjoint write-once indices), and the values themselves cross
-// threads only at the scope join — hence the `T: Send` bound. No `&T` is
-// ever produced while workers run, so `T: Sync` is not required.
-unsafe impl<T: Send> Sync for ResultSlots<T> {}
-
-impl<T> ResultSlots<T> {
-    fn new(len: usize) -> Self {
-        Self { slots: (0..len).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect() }
-    }
-
-    /// Writes the result for `i`.
-    ///
-    /// # Safety
-    /// `i` must be claimed by exactly one worker, and written exactly once.
-    #[inline]
-    unsafe fn write(&self, i: usize, value: T) {
-        // SAFETY: the caller guarantees index `i` belongs to this worker
-        // alone, so no other thread holds a pointer into this slot and the
-        // raw write cannot race; `slots[i]` bounds-checks the index.
-        unsafe { (*self.slots[i].get()).write(value) };
-    }
-
-    /// Consumes the slots in index order.
-    ///
-    /// # Safety
-    /// Every slot must have been written (all indices claimed and their
-    /// workers joined).
-    unsafe fn into_vec(self) -> Vec<T> {
-        self.slots
-            .into_vec()
-            .into_iter()
-            // SAFETY: the caller guarantees every index was claimed and the
-            // claiming workers have joined, so each `MaybeUninit` holds an
-            // initialized `T` and the join published it to this thread.
-            .map(|slot| unsafe { slot.into_inner().assume_init() })
-            .collect()
-    }
-}
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -105,18 +45,6 @@ impl<T> ResultSlots<T> {
 /// and let the original error surface instead.
 fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Renders a caught panic payload for sweep diagnostics (`panic!` with a
-/// message produces `&str` or `String`; anything else is opaque).
-fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "<non-string panic payload>"
-    }
 }
 
 /// Derives the seed for configuration `index` of a sweep seeded with
@@ -159,9 +87,7 @@ pub struct SweepExecutor {
 impl SweepExecutor {
     /// An executor over all available cores, measuring under `seed`.
     pub fn new(seed: u64) -> Self {
-        let threads =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { seed, threads }
+        Self { seed, threads: enprop_par::host_parallelism() }
     }
 
     /// A single-threaded executor — the reference ordering every parallel
@@ -196,16 +122,21 @@ impl SweepExecutor {
     /// `make_state`, calling `f(state, item, config_seed)` per item.
     /// Results are returned in the order of `items`.
     ///
-    /// Work distribution is a shared atomic cursor from which each worker
-    /// claims one index per `fetch_add`, so a worker is never idle while an
+    /// Work distribution is [`enprop_par::map_with`]: each worker claims
+    /// one index per `fetch_add`, so a worker is never idle while an
     /// unclaimed item remains. A claim costs nanoseconds against a
     /// measurement's milliseconds, so claiming in chunks would save nothing
     /// and would let one worker hold several costly items while another
     /// idles. Each worker constructs its state once, before entering the
-    /// claim loop; a single worker runs on the calling thread. Results land
-    /// in lock-free write-once slots ([`ResultSlots`]); because `f`'s output
-    /// depends only on `(item, config_seed)`, the schedule cannot leak into
-    /// the results.
+    /// claim loop; a single worker runs on the calling thread. Because
+    /// `f`'s output depends only on `(item, config_seed)`, the schedule
+    /// cannot leak into the results.
+    ///
+    /// A panicking closure aborts the sweep, but with a *diagnostic*: the
+    /// unwind is caught and re-raised as `sweep worker panicked on config
+    /// #i of n: <payload>`, the other workers stop claiming, and the
+    /// caller sees that message whatever the worker count — a serving
+    /// layer must know which request killed the pool.
     pub fn map_with<S, C, T>(
         &self,
         items: &[C],
@@ -216,64 +147,16 @@ impl SweepExecutor {
         C: Sync,
         T: Send,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots = ResultSlots::new(items.len());
-        // A panicking closure aborts the sweep, but with a *diagnostic*:
-        // the unwind is caught in the worker, the failing configuration is
-        // recorded here (first panic wins), the other workers stop
-        // claiming, and the sweep re-panics after the join with the config
-        // index in the message. The opaque alternative — letting the
-        // unwind tear down the scope — would lose which request killed the
-        // pool, which a serving layer cannot afford.
-        let panic_note: Mutex<Option<String>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let run_worker = || {
-            // Worker state is built once per worker, outside the claim loop.
-            let mut state = make_state();
-            while !abort.load(Ordering::Relaxed) {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                match catch_unwind(AssertUnwindSafe(|| f(&mut state, item, self.config_seed(i)))) {
-                    // SAFETY: the `fetch_add` cursor hands out each index
-                    // once, so index `i` is claimed by this worker alone and
-                    // written exactly once — the contract of `write`.
-                    Ok(out) => unsafe { slots.write(i, out) },
-                    Err(payload) => {
-                        let msg = format!(
-                            "sweep worker panicked on config #{i} of {}: {}",
-                            items.len(),
-                            panic_payload_message(payload.as_ref())
-                        );
-                        lock_unpoisoned(&panic_note).get_or_insert(msg);
-                        abort.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            }
-        };
-        let workers = self.threads.min(items.len());
-        if workers == 1 {
-            run_worker();
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|_| run_worker());
-                }
-            })
-            .expect("sweep scope panicked outside the worker catch-unwind");
-        }
-        if let Some(msg) = panic_note.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            // The slots are leaked, never read — see the `ResultSlots` doc.
-            panic!("{msg}");
-        }
-
-        // SAFETY: every worker has returned (run inline or joined by the
-        // scope), no worker panicked, and all indices up to `items.len()`
-        // were claimed, so every slot is initialized.
-        unsafe { slots.into_vec() }
+        let n = items.len();
+        enprop_par::map_with(n, self.threads, make_state, |state, i| {
+            catch_unwind(AssertUnwindSafe(|| f(state, &items[i], self.config_seed(i))))
+                .unwrap_or_else(|payload| {
+                    panic!(
+                        "sweep worker panicked on config #{i} of {n}: {}",
+                        panic_message(payload.as_ref())
+                    )
+                })
+        })
     }
 
     /// Stateless variant of [`map_with`](SweepExecutor::map_with) for
@@ -720,7 +603,9 @@ pub struct ResumableSweep<C, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enprop_par::panic_message as panic_payload_message;
     use enprop_power::FaultPlan;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use enprop_units::{Seconds, Watts};
 
     #[test]

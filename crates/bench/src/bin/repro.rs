@@ -958,7 +958,7 @@ fn bench_sweep(
     check: bool,
     full: bool,
 ) {
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_cores = enprop_par::host_parallelism();
 
     let app = GpuMatMulApp::new(GpuArch::k40c(), 8);
     let sizes = [8704usize, 10240];

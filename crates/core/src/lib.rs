@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The paper's primary contribution: a formalization of energy
 //! proportionality (EP) and the machinery to test, quantify and explain

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Multicore CPU simulator: the substitute for the paper's dual-socket
 //! Intel Haswell E5-2670 v3 node.

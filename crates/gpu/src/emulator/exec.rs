@@ -37,9 +37,11 @@
 //! Blocks are independent (no inter-block communication in this model),
 //! so the grid is executed in parallel *across blocks* by a small worker
 //! pool whose width — the "wave" width, analogous to blocks resident
-//! across SMs — comes from [`WavePlan`]: the host's
-//! `available_parallelism`, optionally capped by the architecture's
-//! occupancy-limited resident-block count, and overridable for tests.
+//! across SMs — comes from [`WavePlan`]: the host's parallelism
+//! ([`enprop_par::host_parallelism`]), optionally capped by the
+//! architecture's occupancy-limited resident-block count, and overridable
+//! for tests. The blocks are claimed in chunks through
+//! [`enprop_par::for_chunks`], the workspace's one fan-out primitive.
 //!
 //! The previous engine (one OS thread per CUDA thread) lives on in
 //! [`super::legacy`] solely so equivalence tests can assert the two
@@ -48,8 +50,6 @@
 use super::mem::{BlockCounters, BufId, EventCounters, GlobalMem};
 use crate::arch::GpuArch;
 use crate::occupancy::Occupancy;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A 2-D extent (grid or block dimensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -779,66 +779,13 @@ impl<S: AccessSink> PhaseCtx<'_, S> {
 /// The number of thread blocks a launch executes concurrently.
 ///
 /// Replaces the old hardcoded `WAVE_WIDTH = 4`: the width is derived from
-/// the host's `available_parallelism` — there is no point in more workers
-/// than cores — optionally capped by the modeled device's occupancy (the
-/// number of blocks that can actually be resident across its SMs), and
-/// overridable for tests via [`WavePlan::fixed`].
+/// the host's parallelism ([`enprop_par::host_parallelism`]) — there is no
+/// point in more workers than cores — optionally capped by the modeled
+/// device's occupancy (the number of blocks that can actually be resident
+/// across its SMs), and overridable for tests via [`WavePlan::fixed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WavePlan {
     width: usize,
-}
-
-/// Host threads available to the process (1 if indeterminate).
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Maps `f` over `0..items` on up to `workers` scoped threads and returns
-/// the results in index order.
-///
-/// Each worker claims one index per `fetch_add`, so a worker is never idle
-/// while an unclaimed item remains: the callers' items (sanitized launches,
-/// lattice configs, probe launches) differ in cost by up to ~100×, and
-/// claiming in chunks would let one worker hold several costly items while
-/// another idles. The result order, and so any output assembled from it,
-/// does not depend on the schedule. With one worker (or at most one item)
-/// `f` runs on the calling thread. A panic in `f` is re-raised on the
-/// caller with its original payload.
-pub fn par_map<T: Send>(items: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = workers.min(items);
-    if workers <= 1 {
-        return (0..items).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut done: Vec<(usize, T)> = join_workers(workers, || {
-        let mut mine = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= items {
-                return mine;
-            }
-            mine.push((i, f(i)));
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, v)| v).collect()
-}
-
-/// Runs `work` on `workers` scoped threads and returns each one's result,
-/// in spawn order. The handles are joined explicitly so that the first
-/// worker panic (in spawn order) is re-raised with its own payload:
-/// `std::thread::scope` would replace it with a generic message.
-fn join_workers<R: Send>(workers: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&work)).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    })
 }
 
 impl WavePlan {
@@ -849,7 +796,7 @@ impl WavePlan {
 
     /// Width from host parallelism alone (no architecture bound).
     pub fn auto() -> Self {
-        Self::fixed(host_parallelism())
+        Self::fixed(enprop_par::host_parallelism())
     }
 
     /// Width from host parallelism capped by `arch`'s occupancy-limited
@@ -861,7 +808,7 @@ impl WavePlan {
         let resident = Occupancy::compute(arch, threads_per_block, shared_bytes)
             .map(|o| o.blocks_per_sm * arch.num_sms)
             .unwrap_or(1);
-        Self::fixed(host_parallelism().min(resident))
+        Self::fixed(enprop_par::host_parallelism().min(resident))
     }
 
     /// The wave width.
@@ -1021,27 +968,12 @@ fn run_grid_with<K: BlockKernel, S: AccessSink + Default>(
     events: &EventCounters,
     plan: WavePlan,
 ) {
-    let blocks: Vec<(usize, usize)> =
-        (0..grid.y).flat_map(|by| (0..grid.x).map(move |bx| (bx, by))).collect();
-    let wave = plan.width().min(blocks.len());
-    if wave <= 1 {
-        for &(bx, by) in &blocks {
-            run_block::<K, S>(kernel, bx, by, events);
-        }
-        return;
-    }
-
     // Chunked claiming: blocks of one launch cost about the same, so
-    // amortize cursor traffic over runs of blocks.
-    let chunk = blocks.len().div_ceil(wave * 4).clamp(1, 64);
-    let cursor = AtomicUsize::new(0);
-    join_workers(wave, || loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= blocks.len() {
-            break;
-        }
-        let end = (start + chunk).min(blocks.len());
-        for &(bx, by) in &blocks[start..end] {
+    // amortize claims over runs of blocks.
+    let mut blocks: Vec<(usize, usize)> =
+        (0..grid.y).flat_map(|by| (0..grid.x).map(move |bx| (bx, by))).collect();
+    enprop_par::for_chunks(&mut blocks, 1, plan.width(), |_, run| {
+        for &(bx, by) in &*run {
             run_block::<K, S>(kernel, bx, by, events);
         }
     });
@@ -1049,10 +981,10 @@ fn run_grid_with<K: BlockKernel, S: AccessSink + Default>(
 
 /// Runs `kernel` over `grid` blocks with `plan.width()` blocks in flight.
 ///
-/// Blocks are claimed from an atomic cursor in chunks, each executed to
-/// retirement by one worker; because blocks are independent and their
-/// event totals are summed commutatively, any schedule produces identical
-/// memory contents and counts. Kernels that implement
+/// Blocks are claimed in chunks ([`enprop_par::for_chunks`]), each
+/// executed to retirement by one worker; because blocks are independent
+/// and their event totals are summed commutatively, any schedule produces
+/// identical memory contents and counts. Kernels that implement
 /// [`BlockKernel::run_phase_batch`] execute each phase as one batched
 /// call across all threads of the block.
 pub fn run_grid<K: BlockKernel>(grid: Dim2, kernel: &K, events: &EventCounters, plan: WavePlan) {
@@ -1298,56 +1230,6 @@ mod tests {
     fn divergent_phase_counts_fail_loudly_in_a_parallel_wave() {
         let events = EventCounters::new();
         run_grid(Dim2::new(2, 1), &Divergent, &events, WavePlan::fixed(2));
-    }
-
-    #[test]
-    fn par_map_visits_every_index_once_in_order() {
-        for items in [0usize, 1, 5, 39, 408] {
-            for workers in [1usize, 2, 3, 8, 2000] {
-                let hits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-                let out = par_map(items, workers, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    i * 3
-                });
-                let expect: Vec<usize> = (0..items).map(|i| i * 3).collect();
-                assert_eq!(out, expect, "items = {items}, workers = {workers}");
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "items = {items}, workers = {workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_runs_items_concurrently() {
-        // A rendezvous with a timeout: each item waits for the other to
-        // arrive, so two concurrent workers meet, while a serial map times
-        // out on item 0 instead of hanging.
-        let arrived = std::sync::Mutex::new(0usize);
-        let all_here = std::sync::Condvar::new();
-        let met = par_map(2, 2, |_| {
-            let mut count = arrived.lock().expect("no item panics holding the lock");
-            *count += 1;
-            all_here.notify_all();
-            let timeout = std::time::Duration::from_secs(10);
-            let (_count, wait) = all_here
-                .wait_timeout_while(count, timeout, |count| *count < 2)
-                .expect("no item panics holding the lock");
-            !wait.timed_out()
-        });
-        assert_eq!(met, [true, true]);
-    }
-
-    #[test]
-    #[should_panic(expected = "item 5 failed")]
-    fn par_map_reraises_a_worker_panic_with_its_payload() {
-        par_map(8, 2, |i| {
-            if i == 5 {
-                panic!("item {i} failed");
-            }
-            i
-        });
     }
 
     #[test]
@@ -1739,7 +1621,7 @@ mod tests {
         let arch = GpuArch::k40c();
         // BS = 32 tiles: 1024 threads/block → 2 blocks/SM × 15 SMs = 30.
         let plan = WavePlan::for_arch(&arch, 32 * 32, 2 * 32 * 32 * 8);
-        assert!(plan.width() <= 30.min(host_parallelism().max(1)).max(1));
+        assert!(plan.width() <= 30.min(enprop_par::host_parallelism().max(1)).max(1));
         assert!(plan.width() >= 1);
         // An unlaunchable kernel degrades to a serial wave.
         let bad = WavePlan::for_arch(&arch, 33 * 33, 0);

@@ -102,30 +102,15 @@ where
         (0..grid.y).flat_map(|by| (0..grid.x).map(move |bx| (bx, by))).collect();
 
     for wave in block_ids.chunks(LEGACY_WAVE) {
-        crossbeam::thread::scope(|outer| {
-            for &(bx, by) in wave {
-                let kernel = &kernel;
-                outer.spawn(move |_| {
-                    let shared = SharedMem::zeroed(shared_len);
-                    let barrier = Barrier::new(threads);
-                    crossbeam::thread::scope(|inner| {
-                        for ty in 0..block.y {
-                            for tx in 0..block.x {
-                                let shared = &shared;
-                                let barrier = &barrier;
-                                inner.spawn(move |_| {
-                                    let ctx =
-                                        ThreadCtx { tx, ty, bx, by, shared, barrier, events };
-                                    kernel(&ctx);
-                                });
-                            }
-                        }
-                    })
-                    .expect("kernel thread panicked");
-                });
-            }
-        })
-        .expect("block wave panicked");
+        enprop_par::join(wave.iter().copied(), |(bx, by)| {
+            let shared = SharedMem::zeroed(shared_len);
+            let barrier = Barrier::new(threads);
+            let thread_ids = (0..block.y).flat_map(|ty| (0..block.x).map(move |tx| (tx, ty)));
+            enprop_par::join(thread_ids, |(tx, ty)| {
+                let (shared, barrier) = (&shared, &barrier);
+                kernel(&ThreadCtx { tx, ty, bx, by, shared, barrier, events });
+            });
+        });
     }
 }
 
@@ -198,5 +183,16 @@ mod tests {
             ctx.global_store(&out, ctx.bx, v);
         });
         assert_eq!(out.to_vec(), vec![1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel failed in block 1")]
+    fn a_kernel_panic_keeps_its_message() {
+        // Block 1's threads panic before any barrier, so no sibling is left
+        // waiting; the message must survive both levels of joins.
+        let events = EventCounters::new();
+        launch(Dim2::new(2, 1), Dim2::new(2, 1), 0, &events, |ctx| {
+            assert!(ctx.bx != 1, "kernel failed in block {}", ctx.bx);
+        });
     }
 }

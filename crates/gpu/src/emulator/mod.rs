@@ -7,11 +7,12 @@
 //! machines ([`exec::BlockKernel`]) and interpreted cooperatively: one
 //! host thread runs all threads of a block in lockstep phase order, blocks
 //! execute in parallel waves sized by [`exec::WavePlan`] (host
-//! parallelism, optionally capped by the modeled device's occupancy).
-//! Memories are plain `f64` buffers ([`mem`]); event counts accumulate in
-//! per-block plain counters flushed once per block. The original
+//! parallelism, optionally capped by the modeled device's occupancy) and
+//! claimed in chunks through `enprop_par::for_chunks`. Memories are plain
+//! `f64` buffers ([`mem`]); event counts accumulate in per-block plain
+//! counters flushed once per block. The original
 //! OS-thread-per-CUDA-thread engine survives in [`legacy`] purely as the
-//! equivalence oracle.
+//! equivalence oracle; its threads come from `enprop_par::join`.
 //!
 //! Its purpose is *semantic ground truth* at small N:
 //!
@@ -29,10 +30,9 @@ pub mod simd;
 pub mod tiled_dgemm;
 
 pub use exec::{
-    host_parallelism, par_map, run_grid, run_grid_monitored, run_grid_monitored_sampled,
-    run_grid_unbatched, AccessPoint, AccessSink, BatchAccess, BatchCtx, BlockExit, BlockKernel,
-    Dim2, ForceScalar, GlobalBatch, GlobalRun, NoSink, PhaseCtx, PhaseOutcome, PhaseTrace,
-    ScalarProbe, SharedBatch, WavePlan,
+    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessPoint,
+    AccessSink, BatchAccess, BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch,
+    GlobalRun, NoSink, PhaseCtx, PhaseOutcome, PhaseTrace, ScalarProbe, SharedBatch, WavePlan,
 };
 pub use fft_kernel::EmuRowFft;
 pub use simd::SimdPath;

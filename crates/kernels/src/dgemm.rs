@@ -6,7 +6,6 @@
 //! played by the L1/L2-resident tiles.
 
 use crate::matrix::Matrix;
-use crate::par;
 
 /// Naive triple loop, used as the correctness reference.
 pub fn dgemm_naive(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
@@ -91,8 +90,8 @@ pub fn simd_dispatch() -> &'static str {
 }
 
 /// Multi-threaded [`dgemm_blocked`]: the packed driver over disjoint row
-/// slabs of `A` and `C`, claimed in [`MR`]-row strips from a shared
-/// chunked cursor ([`par::claim_chunks`]).
+/// slabs of `A` and `C`, claimed in runs of [`MR`]-row strips
+/// ([`enprop_par::for_chunks`]).
 ///
 /// Bitwise-identical to the serial kernel at **any** thread count. Each
 /// `C` element accrues exactly one `C += α·acc` spill per `bs`-sized
@@ -125,7 +124,7 @@ pub fn dgemm_blocked_mt(
 
     let strips = m.div_ceil(MR);
     let workers = threads.min(strips);
-    if workers <= 1 {
+    if workers <= 1 || n == 0 {
         return dgemm_blocked(alpha, a, b, beta, c, m, k, n, bs);
     }
 
@@ -137,16 +136,10 @@ pub fn dgemm_blocked_mt(
         }
     }
 
-    let c_base = par::SendPtr::new(c.as_mut_ptr());
-    par::claim_chunks(strips, workers, |s0, s1| {
-        let r0 = s0 * MR;
-        let r1 = (s1 * MR).min(m);
-        let rows = r1 - r0;
-        // SAFETY: the claiming cursor hands out disjoint strip ranges, so
-        // this `rows × n` slab of C is touched by exactly one worker; the
-        // scope join inside `claim_chunks` publishes the writes.
-        let c_slab = unsafe { std::slice::from_raw_parts_mut(c_base.get().add(r0 * n), rows * n) };
-        dgemm_blocked(alpha, &a[r0 * k..r1 * k], b, 1.0, c_slab, rows, k, n, bs);
+    enprop_par::for_chunks(c, MR * n, workers, |first_strip, c_slab| {
+        let r0 = first_strip * MR;
+        let rows = c_slab.len() / n;
+        dgemm_blocked(alpha, &a[r0 * k..(r0 + rows) * k], b, 1.0, c_slab, rows, k, n, bs);
     });
 }
 

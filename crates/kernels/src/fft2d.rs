@@ -8,7 +8,6 @@
 //! back.
 
 use crate::fft::{Complex, Twiddles};
-use crate::par;
 
 /// The paper's work measure for an `N × N` 2-D FFT: `W = 5 N² log₂ N`.
 pub fn fft2d_work(n: usize) -> f64 {
@@ -48,20 +47,15 @@ pub fn fft2d_parallel(data: &mut [Complex], n: usize, threads: usize) {
     transpose(data, n);
 }
 
-/// FFT of each row, with rows claimed in chunks from a shared atomic
-/// cursor ([`par::claim_chunks`]) rather than the former static banding,
-/// so a straggling worker cannot idle the rest.
+/// FFT of each row, with rows claimed in chunks
+/// ([`enprop_par::for_chunks`]) rather than the former static banding, so
+/// a straggling worker cannot idle the rest.
 ///
 /// Every row is an independent in-place transform over the shared
 /// read-only twiddle table, so the row-to-worker assignment cannot affect
 /// the result: output is bitwise-identical at any thread count.
 fn parallel_rows(data: &mut [Complex], n: usize, threads: usize, tw: &Twiddles) {
-    let base = par::SendPtr::new(data.as_mut_ptr());
-    par::claim_chunks(n, threads, |r0, r1| {
-        // SAFETY: the claiming cursor hands out disjoint row ranges, so
-        // this band is touched by exactly one worker; the scope join
-        // inside `claim_chunks` publishes the writes.
-        let band = unsafe { std::slice::from_raw_parts_mut(base.get().add(r0 * n), (r1 - r0) * n) };
+    enprop_par::for_chunks(data, n, threads, |_, band| {
         for row in band.chunks_mut(n) {
             tw.apply(row);
         }

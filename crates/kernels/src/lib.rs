@@ -11,13 +11,18 @@
 //!
 //! * [`matrix`] — dense row-major matrices with deterministic fills;
 //! * [`dgemm`] — blocked `C ← α A B + β C`, serial and multi-threaded
-//!   (row slabs over a chunked work-claiming cursor, bitwise-identical at
-//!   any thread count);
+//!   (row slabs claimed in chunks, bitwise-identical at any thread count);
 //! * [`threadgroup`] — the paper's Fig. 3 decomposition: `p` threadgroups ×
 //!   `t` threads, A and C horizontally partitioned, B shared, no
 //!   inter-thread communication;
 //! * [`fft`] — iterative radix-2 complex FFT;
 //! * [`fft2d`] — parallel row–column 2-D FFT.
+//!
+//! Every threaded kernel fans out through `enprop-par`, the workspace's
+//! one fan-out primitive: `dgemm_blocked_mt` and `fft2d_parallel` take
+//! disjoint `&mut` row bands from `for_chunks`, and `dgemm_threadgroups`
+//! runs one thread per band through `join`. The `unsafe` left in this
+//! crate is the AVX2 dispatch alone.
 //!
 //! These kernels run at laptop-scale sizes; the simulators in
 //! `enprop-cpusim`/`enprop-gpusim` extrapolate timing and power to the
@@ -27,7 +32,6 @@ pub mod dgemm;
 pub mod fft;
 pub mod fft2d;
 pub mod matrix;
-mod par;
 pub mod threadgroup;
 
 pub use dgemm::{dgemm_blocked, dgemm_blocked_mt, dgemm_blocked_unpacked, dgemm_naive, simd_dispatch};

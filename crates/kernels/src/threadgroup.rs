@@ -80,32 +80,18 @@ pub fn dgemm_threadgroups(
     // t-way thread split is equivalent to a (p·t)-way row split where thread
     // (g, s) owns the s-th sub-band of group g's band.
     let a_bands = band_ranges(n, cfg.groups, cfg.threads_per_group);
-    let c_bands_check = a_bands.clone();
-    let mut c_refs = c.row_bands_flat_mut(&a_bands);
+    debug_assert_eq!(a_bands.iter().map(|r| r.1).sum::<usize>(), n);
+    let bands = c.row_bands_flat_mut(&a_bands).into_iter().zip(&a_bands);
 
     let start = Instant::now();
-    let mut thread_seconds = vec![0.0; total];
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(total);
-        for (idx, c_band) in c_refs.drain(..).enumerate() {
-            let (row0, rows) = a_bands[idx];
-            let a_slice = &a.as_slice()[row0 * n..(row0 + rows) * n];
-            let b_slice = b.as_slice();
-            let bs = cfg.block_size;
-            handles.push(scope.spawn(move |_| {
-                let t0 = Instant::now();
-                dgemm_blocked(1.0, a_slice, b_slice, 0.0, c_band, rows, n, n, bs);
-                t0.elapsed().as_secs_f64()
-            }));
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            thread_seconds[i] = h.join().expect("worker thread panicked");
-        }
-    })
-    .expect("thread scope failed");
+    let thread_seconds = enprop_par::join(bands, |(c_band, &(row0, rows))| {
+        let t0 = Instant::now();
+        let a_band = &a.as_slice()[row0 * n..(row0 + rows) * n];
+        dgemm_blocked(1.0, a_band, b.as_slice(), 0.0, c_band, rows, n, n, cfg.block_size);
+        t0.elapsed().as_secs_f64()
+    });
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    debug_assert_eq!(c_bands_check.iter().map(|r| r.1).sum::<usize>(), n);
     ThreadgroupRun { wall_seconds, thread_seconds, flops: dgemm_flops(n, n, n) }
 }
 

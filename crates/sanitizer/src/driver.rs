@@ -10,19 +10,20 @@
 //! and machines.
 //!
 //! A sweep ([`sanitize_all`]) runs its launches concurrently on
-//! [`host_parallelism`] workers. Launches share no state — each has its
-//! own buffers and [`LaunchMonitor`] — and the reports are assembled in
-//! sweep order, so the sweep's report is the same bytes at any core count.
+//! [`host_parallelism`] workers through [`enprop_par::map_with`], one
+//! launch per claim. Launches share no state — each has its own buffers
+//! and [`LaunchMonitor`] — and the reports are assembled in sweep order,
+//! so the sweep's report is the same bytes at any core count.
 
 use crate::monitor::{BufferTable, LaunchMonitor};
 use crate::prelaunch;
 use crate::report::Finding;
 use enprop_gpusim::emulator::{
-    host_parallelism, par_map, run_grid_monitored_sampled, BlockKernel, Dim2, EmuDgemm, EmuRowFft,
-    EventCounters, GlobalMem,
+    run_grid_monitored_sampled, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem,
 };
 use enprop_gpusim::model::max_group;
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
+use enprop_par::host_parallelism;
 use serde::Serialize;
 
 /// Deterministic 1-in-k block sampling for production-scale sanitizing.
@@ -389,13 +390,14 @@ pub fn sanitize_all(arch: &GpuArch, all: bool) -> SanitizeReport {
 pub fn sanitize_all_sampled(arch: &GpuArch, all: bool, sample: SampleSpec) -> SanitizeReport {
     let dgemms = dgemm_grid(arch, all);
     let ffts = fft_grid(all);
-    let launch = |i: usize| match dgemms.get(i) {
+    let launch = |_: &mut (), i: usize| match dgemms.get(i) {
         Some(&cfg) => sanitize_dgemm_sampled(cfg, arch, sample),
         None => {
             let (n, rows) = ffts[i - dgemms.len()];
             sanitize_fft_sampled(n, rows, arch, sample)
         }
     };
-    let kernels = par_map(dgemms.len() + ffts.len(), host_parallelism(), launch);
+    let launches = dgemms.len() + ffts.len();
+    let kernels = enprop_par::map_with(launches, host_parallelism(), || (), launch);
     SanitizeReport { arch: arch.name.clone(), kernels }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # enprop-sanitize — a compute-sanitizer for the GPU emulator
 //!

@@ -28,6 +28,7 @@
 //! *exact* (bitwise), not approximate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod http;

@@ -96,58 +96,45 @@ pub fn run_load(addr: SocketAddr, options: &LoadOptions) -> LoadReport {
     });
 
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..options.clients {
-            let tally = &tally;
-            let options = &options;
-            scope.spawn(move || {
-                for r in 0..options.requests_per_client {
-                    let cold = r % 4 == 3;
-                    let seed = if cold {
-                        // Unique per (client, request): a guaranteed miss,
-                        // placed far from the hot range.
-                        options.seed_base + 100_000 + (client as u64) * 1_000 + r as u64
-                    } else {
-                        options.seed_base
-                            + ((client + r) % options.hot_keys.max(1)) as u64
-                    };
-                    let request = SweepRequest {
-                        arch: options.arch.clone(),
-                        n: options.n,
-                        products: options.products,
-                        seed,
-                        chunk: options.chunk,
-                        no_cache: false,
-                    };
-                    let result =
-                        http_request(addr, "POST", "/sweep", request.to_json().as_bytes());
-                    let mut t = tally.lock().unwrap();
-                    match result {
-                        Ok(response) if response.status == 200 => {
-                            t.ok += 1;
-                            match response.header("X-Cache") {
-                                Some("hit") => t.hits += 1,
-                                Some("miss") => t.misses += 1,
-                                other => t.errors.push(format!(
-                                    "unexpected X-Cache header: {other:?}"
-                                )),
-                            }
-                            if !cold {
-                                t.bodies_by_seed
-                                    .entry(seed)
-                                    .or_default()
-                                    .push(response.body);
-                            }
-                        }
-                        Ok(response) => t.errors.push(format!(
-                            "status {} from /sweep: {}",
-                            response.status,
-                            String::from_utf8_lossy(&response.body)
-                        )),
-                        Err(e) => t.errors.push(e),
+    enprop_par::join(0..options.clients, |client| {
+        for r in 0..options.requests_per_client {
+            let cold = r % 4 == 3;
+            let seed = if cold {
+                // Unique per (client, request): a guaranteed miss,
+                // placed far from the hot range.
+                options.seed_base + 100_000 + (client as u64) * 1_000 + r as u64
+            } else {
+                options.seed_base + ((client + r) % options.hot_keys.max(1)) as u64
+            };
+            let request = SweepRequest {
+                arch: options.arch.clone(),
+                n: options.n,
+                products: options.products,
+                seed,
+                chunk: options.chunk,
+                no_cache: false,
+            };
+            let result = http_request(addr, "POST", "/sweep", request.to_json().as_bytes());
+            let mut t = tally.lock().expect("no client panics holding the tally");
+            match result {
+                Ok(response) if response.status == 200 => {
+                    t.ok += 1;
+                    match response.header("X-Cache") {
+                        Some("hit") => t.hits += 1,
+                        Some("miss") => t.misses += 1,
+                        other => t.errors.push(format!("unexpected X-Cache header: {other:?}")),
+                    }
+                    if !cold {
+                        t.bodies_by_seed.entry(seed).or_default().push(response.body);
                     }
                 }
-            });
+                Ok(response) => t.errors.push(format!(
+                    "status {} from /sweep: {}",
+                    response.status,
+                    String::from_utf8_lossy(&response.body)
+                )),
+                Err(e) => t.errors.push(e),
+            }
         }
     });
     let secs = started.elapsed().as_secs_f64();

@@ -351,19 +351,12 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     let result = catch_unwind(AssertUnwindSafe(|| handle_request(state, &mut stream)));
     if let Err(payload) = result {
         state.stats.panics.fetch_add(1, Ordering::Relaxed);
-        let detail: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-            s
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s
-        } else {
-            "<non-string panic payload>"
-        };
         let _ = write_response(
             &mut stream,
             500,
             "Internal Server Error",
             &[("Content-Type", "application/json")],
-            &error_body("internal", detail),
+            &error_body("internal", enprop_par::panic_message(payload.as_ref())),
         );
     }
 }
@@ -602,7 +595,7 @@ fn compute_streaming(
         .collect();
 
     let threads = if state.config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        enprop_par::host_parallelism()
     } else {
         state.config.threads
     };

@@ -22,6 +22,11 @@
 //!    the analytic checks ([`crate::checks`]) plus closed-form event
 //!    counts, in under a millisecond.
 //!
+//! Probes (step 1) and lattice configs (step 3) run on every core through
+//! [`enprop_par::map_with`], one per claim, with results kept in
+//! enumeration order, so neither the model nor any report depends on the
+//! core count.
+//!
 //! Configs whose BS does not divide N are analyzed at the padded
 //! geometry `N′ = ⌈N/BS⌉·BS` — the same convention the analytic
 //! [`CuptiReport`](enprop_gpusim::CuptiReport) model uses for its
@@ -32,10 +37,9 @@ use crate::checks::{run_checks, CheckFamily, CheckGroup, CheckSpace};
 use crate::probe::probe_grid_dgemm;
 use crate::report::{Fallback, FallbackKind, StaticReport};
 use crate::solve::{eval_poly, fit_int_poly};
-use enprop_gpusim::emulator::{
-    host_parallelism, par_map, BlockExit, EmuDgemm, EmuEvents, GlobalMem,
-};
+use enprop_gpusim::emulator::{BlockExit, EmuDgemm, EmuEvents, GlobalMem};
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
+use enprop_par::host_parallelism;
 use enprop_sanitize::report::{AccessKind, MemSpace};
 use std::collections::BTreeMap;
 
@@ -333,15 +337,16 @@ impl DgemmStaticModel {
     /// workers; the first fallback in probe order is the one returned.
     pub fn learn() -> Result<DgemmStaticModel, Fallback> {
         let probes = probe_set();
+        let probe = |_: &mut (), i: usize| -> Result<_, Fallback> {
+            let cfg = probes[i];
+            let (shape, events) = probe_config(cfg)?;
+            let roles = roles_of_config(cfg, &shape)?;
+            Ok((cfg, roles, events))
+        };
         let per_config: Vec<(TiledDgemmConfig, ConfigRoles, EmuEvents)> =
-            par_map(probes.len(), host_parallelism(), |i| {
-                let cfg = probes[i];
-                let (shape, events) = probe_config(cfg)?;
-                let roles = roles_of_config(cfg, &shape)?;
-                Ok((cfg, roles, events))
-            })
-            .into_iter()
-            .collect::<Result<_, Fallback>>()?;
+            enprop_par::map_with(probes.len(), host_parallelism(), || (), probe)
+                .into_iter()
+                .collect::<Result<_, Fallback>>()?;
 
         // Cross-config coefficient fit, one role at a time.
         let mut roles = Vec::new();
@@ -628,8 +633,9 @@ pub fn verify_fig_lattices(model: &DgemmStaticModel) -> Vec<LatticeSweep> {
         .map(|(label, arch, n)| (label, TiledDgemmConfig::enumerate(&arch, n, TOTAL_PRODUCTS)))
         .collect();
     let flat: Vec<&TiledDgemmConfig> = lattices.iter().flat_map(|(_, cfgs)| cfgs).collect();
-    let verify = |i: usize| model.verify_config(flat[i]);
-    let mut reports = par_map(flat.len(), host_parallelism(), verify).into_iter();
+    let verify = |_: &mut (), i: usize| model.verify_config(flat[i]);
+    let mut reports =
+        enprop_par::map_with(flat.len(), host_parallelism(), || (), verify).into_iter();
     lattices
         .into_iter()
         .map(|(label, configs)| {

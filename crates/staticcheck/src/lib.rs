@@ -27,6 +27,7 @@
 //! buggy fixtures); [`dgemm::DgemmStaticModel`] is the parametric one.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod affine;
 pub mod checks;

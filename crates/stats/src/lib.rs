@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Statistical substrate for energy-proportionality experiments.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Type-safe physical quantities for energy-proportionality analysis.
 //!
