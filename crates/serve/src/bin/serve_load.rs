@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Spawns N concurrent clients issuing a mixed hot/cold key stream and
-//! prints the [`LoadReport`](enprop_serve::LoadReport) as JSON. Exits
-//! non-zero if any request failed or any hot key's responses disagreed.
+//! prints the [`LoadReport`](enprop_serve::LoadReport) as JSON, whose
+//! `rejected` counts the requests an overloaded daemon shed with a 503.
+//! Exits non-zero unless every request got a 200 and every hot key's
+//! responses agreed.
 
 use enprop_serve::{run_load, LoadOptions};
 use std::net::{SocketAddr, ToSocketAddrs};

@@ -209,7 +209,19 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Writes a complete fixed-length response (status + headers + body).
+/// The status line and headers of a reply, up to and including the blank
+/// line; `framing` is the `Content-Length` or `Transfer-Encoding` header.
+fn reply_head(status: u16, reason: &str, headers: &[(&str, &str)], framing: &str) -> Vec<u8> {
+    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(&format!("{framing}\r\nConnection: close\r\n\r\n"));
+    head.into_bytes()
+}
+
+/// Writes a complete fixed-length response (status + headers + body) with
+/// one `write_all`: under `TCP_NODELAY` every write is its own segment.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -217,21 +229,25 @@ pub fn write_response(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\nConnection: close\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut reply = reply_head(
+        status,
+        reason,
+        headers,
+        &format!("Content-Length: {}", body.len()),
+    );
+    reply.extend_from_slice(body);
+    stream.write_all(&reply)?;
     stream.flush()
 }
 
 /// A `Transfer-Encoding: chunked` response writer: the daemon streams one
 /// chunk per completed sweep chunk, so clients see the Pareto front grow
-/// while the remainder is still measuring.
+/// while the remainder is still measuring. Each call is one `write_all`;
+/// to send a whole reply in one write, frame it into a `Vec` first.
 pub struct ChunkedWriter<'a, W: Write> {
     stream: &'a mut W,
+    /// Size line, data and CRLF of the chunk being written, reused.
+    frame: Vec<u8>,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
@@ -242,13 +258,8 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         reason: &str,
         headers: &[(&str, &str)],
     ) -> io::Result<Self> {
-        let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
-        for (name, value) in headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n");
-        stream.write_all(head.as_bytes())?;
-        Ok(Self { stream })
+        stream.write_all(&reply_head(status, reason, headers, "Transfer-Encoding: chunked"))?;
+        Ok(Self { stream, frame: Vec::new() })
     }
 
     /// Writes one chunk (empty input is skipped — a zero-length chunk would
@@ -257,9 +268,11 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        self.frame.clear();
+        write!(self.frame, "{:x}\r\n", data.len())?;
+        self.frame.extend_from_slice(data);
+        self.frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&self.frame)?;
         self.stream.flush()
     }
 
@@ -365,7 +378,9 @@ pub fn read_response(stream: &mut impl Read) -> Result<Response, String> {
     Ok(Response { body, ..response })
 }
 
-/// Decodes chunked transfer framing into the payload bytes.
+/// Decodes chunked transfer framing into the payload bytes. Sizes come
+/// from the peer, so every offset is checked: a size that overruns the
+/// stream, even one near `usize::MAX`, is an error, never a panic.
 fn dechunk(data: &[u8]) -> Result<Vec<u8>, String> {
     let mut out = Vec::with_capacity(data.len());
     let mut pos = 0usize;
@@ -382,11 +397,12 @@ fn dechunk(data: &[u8]) -> Result<Vec<u8>, String> {
         if size == 0 {
             return Ok(out);
         }
-        if pos + size + 2 > data.len() {
-            return Err(format!("chunk of {size} byte(s) overruns the stream"));
-        }
-        out.extend_from_slice(&data[pos..pos + size]);
-        pos += size + 2; // skip the trailing CRLF
+        let data_end = pos
+            .checked_add(size)
+            .filter(|&end| end.checked_add(2).is_some_and(|e| e <= data.len()))
+            .ok_or_else(|| format!("chunk of {size} byte(s) overruns the stream"))?;
+        out.extend_from_slice(&data[pos..data_end]);
+        pos = data_end + 2; // skip the trailing CRLF
     }
 }
 
@@ -505,6 +521,40 @@ mod tests {
         assert_eq!(resp.body, b"{\"a\":1}\n{\"b\":2}\n");
     }
 
+    /// Counts the `write` calls reaching the socket.
+    #[derive(Default)]
+    struct Writes {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_and_each_chunk_is_one_write() {
+        let mut out = Writes::default();
+        write_response(&mut out, 200, "OK", &[("Content-Type", "text/plain")], b"ok\n").unwrap();
+        assert_eq!(out.calls, 1, "a fixed reply is one write");
+
+        let mut out = Writes::default();
+        let mut w = ChunkedWriter::start(&mut out, 200, "OK", &[]).unwrap();
+        w.chunk(b"{\"a\":1}\n").unwrap();
+        w.chunk(b"{\"b\":2}\n").unwrap();
+        w.finish().unwrap();
+        assert_eq!(out.calls, 4, "head, one write per chunk, terminator");
+        assert_eq!(read_response(&mut &out.bytes[..]).unwrap().body, b"{\"a\":1}\n{\"b\":2}\n");
+    }
+
     #[test]
     fn fixed_response_round_trips() {
         let mut out: Vec<u8> = Vec::new();
@@ -513,5 +563,150 @@ mod tests {
         let resp = read_response(&mut &out[..]).unwrap();
         assert_eq!(resp.status, 400);
         assert_eq!(resp.body, b"{}");
+    }
+
+    /// The requests the reader fuzz cuts, stalls and mutates: a sweep with
+    /// a body, framed as [`http_request`] frames it, and two bodiless GETs.
+    fn fuzz_requests() -> Vec<Vec<u8>> {
+        let body = br#"{"arch":"k40c","n":512,"products":4,"seed":42,"chunk":16}"#;
+        let mut post = format!(
+            "POST /sweep HTTP/1.1\r\nHost: 127.0.0.1:7271\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        post.extend_from_slice(body);
+        let get = |path: &str| {
+            format!("GET {path} HTTP/1.1\r\nHost: 127.0.0.1:7271\r\nConnection: close\r\n\r\n")
+                .into_bytes()
+        };
+        vec![post, get("/healthz"), get("/stats")]
+    }
+
+    #[test]
+    fn every_proper_prefix_is_truncated() {
+        for raw in fuzz_requests() {
+            assert!(parse(&raw).is_ok());
+            for cut in 0..raw.len() {
+                let err = parse(&raw[..cut]).unwrap_err();
+                assert!(matches!(err, HttpError::Truncated(_)), "cut at {cut}: {err:?}");
+            }
+        }
+    }
+
+    /// Yields `data` in reads of at most `step` bytes until `fail_at`,
+    /// then fails every read with `kind`, as a socket whose read timeout
+    /// expired does.
+    struct Stalling<'a> {
+        data: &'a [u8],
+        pos: usize,
+        fail_at: usize,
+        step: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.fail_at {
+                return Err(self.kind.into());
+            }
+            let n = buf.len().min(self.step).min(self.fail_at - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_timeout_at_every_byte_is_timed_out() {
+        for raw in fuzz_requests() {
+            for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+                for step in [1, 7, 1024] {
+                    for fail_at in 0..raw.len() {
+                        let mut reader =
+                            Stalling { data: &raw, pos: 0, fail_at, step, kind };
+                        assert_eq!(
+                            read_request(&mut reader).unwrap_err(),
+                            HttpError::TimedOut,
+                            "{kind:?} at byte {fail_at}, reads of {step}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_value_at_every_position_parses_or_is_typed() {
+        for raw in fuzz_requests() {
+            let mut mutated = raw.clone();
+            for pos in 0..raw.len() {
+                for byte in 0..=u8::MAX {
+                    mutated[pos] = byte;
+                    match parse(&mutated) {
+                        Ok(req) => {
+                            let declared = req
+                                .header("content-length")
+                                .map_or(0, |v| v.parse::<usize>().expect("parsed once already"));
+                            assert_eq!(req.body.len(), declared, "byte {byte:#04x} at {pos}");
+                        }
+                        Err(e) => assert!(
+                            (400..500).contains(&e.status().0),
+                            "byte {byte:#04x} at {pos}: {e:?}"
+                        ),
+                    }
+                }
+                mutated[pos] = raw[pos];
+            }
+        }
+    }
+
+    /// A chunked reply framed the way the daemon frames a hit, and its body.
+    fn chunked_reply() -> (Vec<u8>, Vec<u8>) {
+        let body = b"{\"chunk\":1,\"front\":[]}\n{\"chunk\":2,\"front\":[1]}\n{\"done\":true}\n";
+        let mut out = Vec::new();
+        let mut w = ChunkedWriter::start(&mut out, 200, "OK", &[("X-Cache", "hit")]).unwrap();
+        for line in body.split_inclusive(|&b| b == b'\n') {
+            w.chunk(line).unwrap();
+        }
+        w.finish().unwrap();
+        (out, body.to_vec())
+    }
+
+    /// Reads a chunked reply whose one chunk claims `size` bytes.
+    fn claimed_chunk_size(size: &str) -> Result<Response, String> {
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{size}\r\nabc\r\n0\r\n\r\n"
+        );
+        read_response(&mut raw.as_bytes())
+    }
+
+    #[test]
+    fn a_chunk_size_of_usize_max_is_an_error_not_a_panic() {
+        let err = claimed_chunk_size("ffffffffffffffff").unwrap_err();
+        assert!(err.contains("chunk"), "{err}");
+    }
+
+    #[test]
+    fn a_chunk_size_of_usize_max_minus_one_is_an_error_not_a_panic() {
+        let err = claimed_chunk_size("fffffffffffffffe").unwrap_err();
+        assert!(err.contains("chunk"), "{err}");
+    }
+
+    #[test]
+    fn a_chunked_reply_cut_at_every_byte_is_an_error_or_the_full_body() {
+        let (raw, body) = chunked_reply();
+        // Only a cut inside the final CRLF leaves the terminating chunk
+        // whole; every earlier cut must be an error, not a shorter body.
+        let whole_from = raw.len() - 2;
+        for cut in 0..=raw.len() {
+            match read_response(&mut &raw[..cut]) {
+                Ok(resp) => {
+                    assert!(cut >= whole_from, "cut at {cut} of {} parsed", raw.len());
+                    assert_eq!(resp.body, body, "cut at {cut} returned a different body");
+                }
+                Err(e) => assert!(cut < whole_from, "cut at {cut}: {e}"),
+            }
+        }
     }
 }

@@ -74,6 +74,9 @@ pub struct LoadReport {
     /// Whether every response for a given hot key was byte-identical
     /// across all clients (the serving-correctness property).
     pub hot_identical: bool,
+    /// Requests the daemon shed with a 503 because its queue was full.
+    /// They are neither `ok` nor `errors`: the daemon answered as designed.
+    pub rejected: usize,
     /// Transport or status errors, at most one message kept per kind.
     pub errors: Vec<String>,
 }
@@ -84,6 +87,7 @@ pub fn run_load(addr: SocketAddr, options: &LoadOptions) -> LoadReport {
         ok: usize,
         hits: usize,
         misses: usize,
+        rejected: usize,
         bodies_by_seed: HashMap<u64, Vec<Vec<u8>>>,
         errors: Vec<String>,
     }
@@ -91,6 +95,7 @@ pub fn run_load(addr: SocketAddr, options: &LoadOptions) -> LoadReport {
         ok: 0,
         hits: 0,
         misses: 0,
+        rejected: 0,
         bodies_by_seed: HashMap::new(),
         errors: Vec::new(),
     });
@@ -128,6 +133,7 @@ pub fn run_load(addr: SocketAddr, options: &LoadOptions) -> LoadReport {
                         t.bodies_by_seed.entry(seed).or_default().push(response.body);
                     }
                 }
+                Ok(response) if response.status == 503 => t.rejected += 1,
                 Ok(response) => t.errors.push(format!(
                     "status {} from /sweep: {}",
                     response.status,
@@ -161,6 +167,7 @@ pub fn run_load(addr: SocketAddr, options: &LoadOptions) -> LoadReport {
             0.0
         },
         hot_identical,
+        rejected: tally.rejected,
         errors,
     }
 }

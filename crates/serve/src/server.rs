@@ -1,22 +1,34 @@
-//! The sweep-serving daemon: accept loop, request lifecycle, and the
-//! streamed sweep computation.
+//! The sweep-serving daemon: accept loop, worker pool, request lifecycle,
+//! and the streamed sweep computation.
 //!
 //! ## Request lifecycle
 //!
-//! 1. The accept loop hands each connection to its own handler thread
-//!    (requests are measurement-bound, not connection-bound, so a thread
-//!    per connection is the right shape at this scale). The handler runs
+//! 1. The accept thread blocks in `accept` and hands each connection to a
+//!    fixed pool of handler threads through a bounded queue. The pool has
+//!    W = max(host cores, 4) threads, spawned once at start, and the queue
+//!    holds Q = 16 × W connections; neither is configured. When the queue
+//!    is full, the accept thread itself answers a typed 503 with
+//!    `Retry-After` and closes, so the daemon holds at most W + Q
+//!    connections and W + 1 threads of its own (a miss served with
+//!    `threads` above 1 fans its sweep out to that many more while it
+//!    measures). A handler runs each request
 //!    under `catch_unwind`: a panicking request answers 500 and dies alone
 //!    — it cannot take the daemon or any other client down.
+//!    [`Server::shutdown`] sets a stop flag and wakes `accept` with one
+//!    self-connect, which is never dispatched.
 //! 2. [`crate::http::read_request`] parses the request under the socket
 //!    read timeout; malformed, torn, oversized, or stalled requests answer
 //!    a typed 4xx JSON body and close.
 //! 3. `POST /sweep` parses the JSON request, derives the canonical cache
-//!    key, and probes the [`ResultCache`]: a hit streams the cached bytes
+//!    key, and probes the [`ResultCache`]: a hit sends the cached bytes
 //!    (`X-Cache: hit`); a miss computes the sweep and streams each update
 //!    as it is produced (`X-Cache: miss`); concurrent requests for the
-//!    same key coalesce onto the one computation and then stream the same
+//!    same key coalesce onto the one computation and then send the same
 //!    bytes (`X-Cache: hit`).
+//! 4. A fixed reply or a hit is framed in memory and sent with one write;
+//!    a miss sends its head, then one write per front update. A miss ends
+//!    the connection before it persists its body: the client reads to
+//!    EOF, and the fsync of `cache.log` need not delay that EOF.
 //!
 //! ## Cache key derivation
 //!
@@ -47,14 +59,26 @@ use enprop_gpusim::{GpuArch, ProductProfile};
 use enprop_pareto::front::BiPoint;
 use enprop_pareto::incremental::FrontTracker;
 use serde::{Serialize, Value};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Fewest handler threads: coalesced waiters and long misses each hold
+/// one, and a handful of clients must not find every handler taken.
+const MIN_WORKERS: usize = 4;
+/// Queued connections per handler thread before the daemon sheds load.
+const QUEUE_PER_WORKER: usize = 16;
+/// How long [`Server::shutdown`] waits for queued and in-flight requests.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
+/// Pause after a failed `accept` (say, out of file descriptors), so that
+/// a persistent failure does not spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -177,9 +201,10 @@ pub struct ServeStats {
     sweeps: AtomicU64,
     bad_requests: AtomicU64,
     panics: AtomicU64,
+    rejected: AtomicU64,
 }
 
-/// Snapshot of [`ServeStats`] plus the cache counters.
+/// Snapshot of [`ServeStats`] plus the pool bounds and the cache counters.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ServeStatsSnapshot {
     /// Requests accepted (all endpoints).
@@ -190,6 +215,12 @@ pub struct ServeStatsSnapshot {
     pub bad_requests: u64,
     /// Handler panics converted to 500s.
     pub panics: u64,
+    /// Handler threads in the pool.
+    pub workers: usize,
+    /// Connections the queue holds before the daemon sheds load.
+    pub queue_capacity: usize,
+    /// Connections shed with a 503 because the queue was full.
+    pub rejected: u64,
     /// Cache hits (including coalesced waiters).
     pub cache_hits: u64,
     /// Cache misses (computations performed).
@@ -211,7 +242,8 @@ struct ServerState {
     config: ServeConfig,
     cache: ResultCache,
     stats: ServeStats,
-    active: AtomicUsize,
+    workers: usize,
+    queue_capacity: usize,
 }
 
 /// A running daemon. Dropping does *not* stop it; call
@@ -220,12 +252,16 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    /// The accept thread, then the handlers.
+    threads: Vec<JoinHandle<()>>,
+    /// Disconnects once every daemon thread has exited: each holds a
+    /// sender and nothing is ever sent.
+    exited: Receiver<()>,
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// the accept loop.
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), spawns the
+    /// handler pool and starts the accept loop.
     pub fn start(config: ServeConfig, addr: &str) -> io::Result<Server> {
         let cache = match &config.cache_dir {
             Some(dir) => ResultCache::open(dir)?,
@@ -233,20 +269,46 @@ impl Server {
         };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let workers = enprop_par::host_parallelism().max(MIN_WORKERS);
+        let queue_capacity = QUEUE_PER_WORKER * workers;
         let state = Arc::new(ServerState {
             config,
             cache,
             stats: ServeStats::default(),
-            active: AtomicUsize::new(0),
+            workers,
+            queue_capacity,
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(&listener, &state, &stop))
-        };
-        Ok(Server { addr: local, state, stop, accept: Some(accept) })
+        let (alive, exited) = mpsc::channel::<()>();
+        let (queue, connections) = mpsc::sync_channel::<TcpStream>(queue_capacity);
+        let connections = Arc::new(Mutex::new(connections));
+        let mut threads = Vec::with_capacity(workers + 1);
+        threads.push({
+            let (state, stop, alive) = (Arc::clone(&state), Arc::clone(&stop), alive.clone());
+            std::thread::spawn(move || {
+                let _alive = alive;
+                accept_loop(&listener, &state, &stop, &queue);
+            })
+        });
+        for _ in 0..workers {
+            let (state, connections, alive) =
+                (Arc::clone(&state), Arc::clone(&connections), alive.clone());
+            threads.push(std::thread::spawn(move || {
+                let _alive = alive;
+                loop {
+                    // One idle handler waits in `recv`, the others for the
+                    // lock. Taking the connection in its own statement
+                    // drops the guard before the request is handled.
+                    let next = connections
+                        .lock()
+                        .expect("no handler panics while holding the queue")
+                        .recv();
+                    let Ok(stream) = next else { return };
+                    handle_connection(&state, stream);
+                }
+            }));
+        }
+        Ok(Server { addr: local, state, stop, threads, exited })
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -264,27 +326,37 @@ impl Server {
         self.state.cache.load_report()
     }
 
-    /// Stops accepting, joins the accept thread, and waits (bounded) for
-    /// in-flight handlers to finish.
+    /// Stops accepting, lets in-flight and queued requests finish, and
+    /// waits up to 10 s for every daemon thread to exit; threads still
+    /// busy after that are detached.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while self.state.active.load(Ordering::Relaxed) > 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the blocking `accept`: the loop sees the flag and returns,
+        // closing the queue, and the handlers drain it and exit.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
+        if let Err(RecvTimeoutError::Disconnected) = self.exited.recv_timeout(SHUTDOWN_GRACE) {
+            for handle in self.threads.drain(..) {
+                let _ = handle.join();
+            }
         }
     }
 
     /// Blocks this thread while the daemon serves (the standalone binary's
     /// main loop). Returns only if the accept thread dies.
     pub fn serve_forever(mut self) {
-        if let Some(handle) = self.accept.take() {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// Where a self-connect reaches a listener bound to `addr`: loopback when
+/// it is bound to every interface.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    match addr {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+        other => other,
     }
 }
 
@@ -296,6 +368,9 @@ fn snapshot(state: &ServerState) -> ServeStatsSnapshot {
         sweeps: state.stats.sweeps.load(Ordering::Relaxed),
         bad_requests: state.stats.bad_requests.load(Ordering::Relaxed),
         panics: state.stats.panics.load(Ordering::Relaxed),
+        workers: state.workers,
+        queue_capacity: state.queue_capacity,
+        rejected: state.stats.rejected.load(Ordering::Relaxed),
         cache_hits: cache.hits + cache.coalesced,
         cache_misses: cache.misses,
         cache_coalesced: cache.coalesced,
@@ -305,31 +380,61 @@ fn snapshot(state: &ServerState) -> ServeStatsSnapshot {
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &Arc<AtomicBool>) {
+/// Accepts until the stop flag is set, queueing each connection for the
+/// handlers, or shedding it when the queue is full. Returning drops the
+/// queue's sender, so the handlers exit once they have drained it.
+fn accept_loop(
+    listener: &TcpListener,
+    state: &ServerState,
+    stop: &AtomicBool,
+    queue: &SyncSender<TcpStream>,
+) {
     loop {
-        if stop.load(Ordering::Relaxed) {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            // The shutdown wake (or a client racing it): never dispatched.
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(state);
-                state.active.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || {
-                    // Decrement on every exit path, panics included.
-                    struct ActiveGuard<'a>(&'a AtomicUsize);
-                    impl Drop for ActiveGuard<'_> {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                    let _guard = ActiveGuard(&state.active);
-                    handle_connection(&state, stream);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        match accepted {
+            Ok((stream, _peer)) => match queue.try_send(stream) {
+                Ok(()) => {}
+                Err(TrySendError::Full(stream)) => shed(state, stream),
+                Err(TrySendError::Disconnected(_)) => return,
+            },
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
+
+/// Answers a connection the full queue cannot take: a typed 503 with
+/// `Retry-After`, then close. This runs on the accept thread, so the
+/// socket is made non-blocking and the thread never waits on the client.
+fn shed(state: &ServerState, mut stream: TcpStream) {
+    state.stats.rejected.fetch_add(1, Ordering::Relaxed);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let detail = format!(
+        "all {} handlers are busy and {} connections are queued; retry later",
+        state.workers, state.queue_capacity
+    );
+    let _ = write_response(
+        &mut stream,
+        503,
+        "Service Unavailable",
+        &[("Content-Type", "application/json"), ("Retry-After", "1")],
+        &error_body("overloaded", &detail),
+    );
+    // End the reply with a FIN, then take the request bytes that have
+    // arrived: closing a socket with unread bytes resets the connection,
+    // and some clients then lose the reply they have not read yet.
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut scratch = [0u8; 4096];
+    let mut budget = crate::http::MAX_HEAD_BYTES + crate::http::MAX_BODY_BYTES;
+    while let Ok(n @ 1..) = stream.read(&mut scratch) {
+        budget = budget.saturating_sub(n);
+        if budget == 0 {
+            break;
         }
     }
 }
@@ -480,9 +585,13 @@ fn serve_sweep(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Reque
     }
 
     match state.cache.lookup_or_begin(&key) {
-        Lookup::Hit(body) => stream_cached(stream, &body, "hit", &key_hash),
+        Lookup::Hit(body) => send_cached(stream, &body, "hit", &key_hash),
         Lookup::Miss(pending) => {
             let body = compute_streaming(state, &app, &parsed, Some(stream), "miss", &key_hash);
+            // The client reads to EOF: end the reply before `fill` appends
+            // and fsyncs. Waiters wake when `fill` publishes in memory,
+            // before the disk append, as they did before.
+            let _ = stream.shutdown(Shutdown::Write);
             let (_shared, disk) = pending.fill(body);
             if let Err(e) = disk {
                 // Durability failed but the in-memory entry is published;
@@ -493,25 +602,26 @@ fn serve_sweep(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Reque
     }
 }
 
-/// Streams a complete cached body. Chunk boundaries need not match the
-/// original computation's — the de-chunked body is what is bitwise-exact.
-fn stream_cached(stream: &mut TcpStream, body: &[u8], cache_state: &str, key_hash: &str) {
+/// Sends a complete cached body with one write: the chunked reply is
+/// framed in memory first, one NDJSON line per HTTP chunk, mirroring the
+/// original streaming shape. Chunk boundaries need not match the original
+/// computation's — the de-chunked body is what is bitwise-exact.
+fn send_cached(stream: &mut TcpStream, body: &[u8], cache_state: &str, key_hash: &str) {
     let headers = [
         ("Content-Type", "application/x-ndjson"),
         ("X-Cache", cache_state),
         ("X-Cache-Key", key_hash),
     ];
-    let Ok(mut writer) = ChunkedWriter::start(stream, 200, "OK", &headers) else {
-        return;
-    };
-    // Replay one NDJSON line per HTTP chunk, mirroring the original
-    // streaming shape.
-    for line in body.split_inclusive(|&b| b == b'\n') {
-        if writer.chunk(line).is_err() {
-            return;
+    let mut reply = Vec::with_capacity(body.len() + 1024);
+    let framed = ChunkedWriter::start(&mut reply, 200, "OK", &headers).and_then(|mut writer| {
+        for line in body.split_inclusive(|&b| b == b'\n') {
+            writer.chunk(line)?;
         }
+        writer.finish()
+    });
+    if framed.is_ok() {
+        let _ = stream.write_all(&reply);
     }
-    let _ = writer.finish();
 }
 
 /// One entry of a rendered front.
@@ -612,12 +722,11 @@ fn compute_streaming(
     });
 
     let mut emit = |line: &str, writer: &mut Option<ChunkedWriter<'_, TcpStream>>| {
+        let start = body.len();
         body.extend_from_slice(line.as_bytes());
         body.push(b'\n');
         if let Some(w) = writer {
-            let mut framed = line.as_bytes().to_vec();
-            framed.push(b'\n');
-            if w.chunk(&framed).is_err() {
+            if w.chunk(&body[start..]).is_err() {
                 // Client gone: keep computing for the cache, stop writing.
                 *writer = None;
             }
