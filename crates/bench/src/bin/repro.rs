@@ -4,7 +4,7 @@
 //! repro [all|table1|fig1|fig2|fig4|fig6|fig7|fig8|theory|headline|bench-json|sanitize|
 //!        verify-static|serve]
 //!       [--json DIR] [--measured [SEED]] [--threads N] [--faults [RATE]] [--check]
-//!       [--checkpoint DIR] [--resume] [--all] [--full] [--self-test] [--sample K]
+//!       [--checkpoint DIR] [--resume] [--all] [--self-test] [--sample K]
 //!       [--port PORT] [--cache DIR]
 //! ```
 //!
@@ -29,73 +29,9 @@
 //! thread count. Without `--resume`, an existing journal is an error —
 //! a stale directory is never silently overwritten.
 //!
-//! The `bench-json` subcommand times (a) the Fig. 7 measured sweep
-//! serially and in parallel, verifying both produce identical results,
-//! (b) the functional emulator running tiled DGEMM on the retired
-//! OS-thread engine vs the barrier-phase interpreter (N = 128 by default
-//! — the OS-thread engine spawns one thread per CUDA thread and dominates
-//! the benchmark's wall-clock; `--full` restores the historical N = 256
-//! workload; either way the JSON `workload` string names the size used),
-//! and (c) a fault-injection smoke sweep — the K40c N = 8704 workload (102
-//! configurations) under a 5% transient-failure rate with the default
-//! 3-attempt retry policy, run at 1, 2, and 8 threads and compared for
-//! exact equality of both the surviving points and the exhausted-retry
-//! set, and (d) a checkpoint-recovery drill — the same fault sweep run
-//! journaled, killed mid-journal by deterministic crash injection (the
-//! final record torn), then resumed at 1, 2, and 8 threads and compared
-//! bitwise against the uninterrupted run, with the journal's wall-clock
-//! overhead measured — and writes everything, including `host_cores`, to
-//! `BENCH_sweep.json`. Five further sections measure this tree's fast
-//! paths: `emulator_batch` (the explicit-SIMD batched SoA phase bodies vs
-//! the scalar per-thread interpreter AND vs the same batch bodies pinned
-//! to the scalar-sse2 tier — the PR 7 auto-vectorized baseline — with
-//! results and counters compared exactly), `host_kernels` (the packed
-//! 4 × 8 register-tiled DGEMM vs the retained unpacked baseline in
-//! GFLOPS, plus the twiddle-hoisted 2-D FFT), `host_kernels_mt` (the
-//! multi-threaded packed DGEMM and chunk-claiming 2-D FFT vs their serial
-//! forms, bitwise-identical across 1/2/8 threads), `sanitize_sampled`
-//! (1-in-8 sampled monitoring vs full monitoring vs the scalar baseline),
-//! and `sanitize_batched` (full monitoring riding the batched bulk trace
-//! path vs per-access scalar-hook monitoring vs the uninstrumented scalar
-//! interpreter, findings compared exactly). Every kernel-related section
-//! records the selected SIMD dispatch path (`avx512` / `avx2` /
-//! `scalar-sse2` for the emulator, `avx2` / `scalar` for the host
-//! kernels) as a `simd_dispatch` field. With `--check` it exits non-zero
-//! on a performance regression: sweep parallel speedup < 1.5× at ≥ 4
-//! threads (enforced only when the host has ≥ 4 cores — on fewer cores
-//! wall-clock speedup is physically impossible and the gate reduces to
-//! the bitwise-identity check; the skip is recorded in the JSON as a
-//! self-describing `speedup_gate` object), phase-interpreter speedup over
-//! the legacy engine < 10×, batched-vs-scalar emulator speedup < 2×,
-//! explicit-SIMD speedup over the pinned scalar-sse2 batch bodies < 1.3×
-//! (skipped self-describingly when the host dispatches scalar-sse2),
-//! packed-vs-unpacked DGEMM speedup < 1.5×, a multi-threaded host kernel
-//! that is not bitwise-identical to its serial form at 1/2/8 threads (the
-//! MT *speedup* gate follows the `speedup_gate` convention and is skipped
-//! on small hosts), sampled-sanitizer overhead above 3× over the scalar
-//! baseline at k = 8 (or a sampled run that misses a self-test fixture),
-//! batched-monitoring overhead above 8× over the uninstrumented scalar
-//! baseline (or batched-monitoring findings that differ from the scalar
-//! monitored run, or a fixture missed), a fault-smoke sweep that loses
-//! configurations without recording them, fault-smoke output that differs
-//! across thread counts, a sanitized DGEMM run that reports findings, a
-//! resumed sweep that is not bitwise-identical to the uninterrupted one,
-//! a torn journal record that is not detected and dropped, a replayed +
-//! recomputed count that does not cover the sweep, or journal overhead
-//! above 10% (the median ratio of 21 alternating plain/journaled pairs, so
-//! scheduler jitter cannot masquerade as a journal cost or saving).
-//!
-//! The `serve_throughput` section exercises the `enprop-serve` daemon
-//! end-to-end: an in-process server on an ephemeral loopback port, a
-//! freshly computed (`no_cache`) sweep compared bitwise against the cold
-//! cached response and against a warm cache hit, then the mixed hot/cold
-//! load generator (8 concurrent clients). `--check` fails on any
-//! non-identical body, a failed request, or a zero cache-hit rate; on a
-//! host where loopback sockets cannot bind, the section records a
-//! self-describing `socket_gate` skip instead (the same convention as
-//! `speedup_gate`). The `serve` subcommand runs the daemon in the
-//! foreground (`--port PORT`, default 7271; `--cache DIR` enables the
-//! persistent result store; `--threads N` caps sweep workers).
+//! The `serve` subcommand runs the sweep daemon in the foreground
+//! (`--port PORT`, default 7271; `--cache DIR` enables the persistent
+//! result store; `--threads N` caps sweep workers).
 //!
 //! The `sanitize` subcommand runs the `enprop-sanitize` checkers
 //! (racecheck / memcheck / synccheck / prelaunch) over every shipped
@@ -123,19 +59,61 @@
 //! bitwise against flushed `EmuEvents` on executable validation configs.
 //! `--json DIR` writes `VERIFY_static.json`; the exit code is non-zero on
 //! any finding, fallback, missed fixture, parity failure, or count
-//! mismatch. The matching `static_verify` section of `bench-json` times
-//! the full static pipeline (model learning + four-lattice analytic
-//! sweep) against the dynamic `sanitize --all` instrumented sweep, both on
-//! every host core, and, with `--check`, fails unless the static path is
-//! at least 10x faster, the lattices are proven clean, all fixtures are
-//! caught with dynamic parity, and every validated count is bitwise-exact.
+//! mismatch.
+//!
+//! The `bench-json` subcommand runs six sections and writes them, with
+//! `host_cores`, to `BENCH_sweep.json` (in `--json DIR`, else the current
+//! directory), printing each section's JSON as it completes:
+//!
+//! * `sweep` — the Fig. 7 measured sweep (K40c, N = 8704 + 10240)
+//!   serially and on `--threads` workers: bitwise identity, and a
+//!   parallel speedup ≥ 1.5× at ≥ 4 threads on a host with ≥ 4 cores;
+//! * `emulator_dgemm` — one serial-wave tiled-DGEMM fixture (N = 256,
+//!   BS = 16) through the scalar interpreter, the batched SoA bodies, the
+//!   same bodies pinned to scalar-sse2, full monitoring and 1-in-8
+//!   sampled monitoring: every output and counter bitwise equal to the
+//!   scalar run's, no findings, bulk findings equal to a per-access
+//!   monitored run's, every self-test fixture caught by its checker
+//!   alone; batched ≥ 2× scalar, explicit SIMD ≥ 1.3× the pinned bodies
+//!   (unless the host dispatches scalar-sse2), monitoring ≤ 8× and
+//!   sampling ≤ 3× the scalar run;
+//! * `host_kernels` — the packed DGEMM against the unpacked baseline
+//!   (within 1e-8, ≥ 1.5×), and it and the 2-D FFT against their
+//!   multi-threaded forms: bitwise identity at 1/2/8 threads, ≥ 1.3× at 8
+//!   on a host with ≥ 4 cores;
+//! * `fault_sweep` — the 102-config K40c sweep under `--faults` transient
+//!   meter faults (default 5%) with 3-attempt retries: no configuration
+//!   lost, identical at 1/2/8 threads, journaling ≤ 1.10× the plain
+//!   sweep, and a journal killed mid-record that resumes at 1/2/8 threads
+//!   bitwise equal to the uninterrupted run, its torn record dropped;
+//! * `static_verify` — the `verify-static` pipeline against the dynamic
+//!   `sanitize --all` sweep, both on every core: the lattice proven
+//!   clean, every fixture flagged with dynamic parity, counts
+//!   bitwise-exact, and ≥ 10× faster;
+//! * `serve_throughput` — an in-process daemon on a loopback port: cold
+//!   miss, warm hit and `no_cache` recomputation bitwise equal, then an
+//!   8-client hot/cold load with identical hot bodies, a non-zero hit
+//!   rate and no failed request.
+//!
+//! Every timed ratio but `static_verify`'s is the median over 21 rounds
+//! of its per-round ratio, recorded with its quartiles; a round runs each
+//! side once, in reverse order every other round. Once the JSON is
+//! written, the command exits non-zero if a correctness check failed
+//! (bitwise identity, findings, fixtures, lost configurations, static
+//! proofs); `--check` adds the timing bounds. A gate the host cannot run
+//! (a speedup on < 4 cores, explicit SIMD on a scalar-sse2 host, serving
+//! without loopback) never fails, and the JSON says why
+//! (`speedup_gate`, `socket_gate`, `simd_dispatch`).
 
 use enprop_apps::checkpoint::{CrashPlan, SweepCheckpoint};
 use enprop_apps::{GpuMatMulApp, RetryPolicy, SweepExecutor, SweepFailure};
 use enprop_bench::figures;
-use enprop_gpusim::emulator::{EmuDgemm, ForceScalar, GlobalMem, SimdPath, WavePlan};
+use enprop_gpusim::emulator::{
+    AccessSink, EmuDgemm, EmuEvents, ForceScalar, GlobalMem, SimdPath, WavePlan,
+};
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
 use enprop_power::FaultPlan;
+use enprop_sanitize::{Checker, KernelReport};
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
@@ -157,7 +135,6 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut faults: Option<f64> = None;
     let mut check = false;
-    let mut full = false;
     let mut sanitize_all = false;
     let mut self_test = false;
     let mut sample_k: Option<u64> = None;
@@ -178,7 +155,6 @@ fn main() {
             }
             "--resume" => resume = true,
             "--all" => sanitize_all = true,
-            "--full" => full = true,
             "--self-test" => self_test = true,
             "--sample" => {
                 let k = it
@@ -241,13 +217,7 @@ fn main() {
     let checkpoint = checkpoint_dir.as_deref().map(|dir| (dir, resume));
 
     if which == "bench-json" {
-        bench_sweep(
-            threads,
-            faults.unwrap_or(DEFAULT_FAULT_RATE),
-            json_dir.as_deref(),
-            check,
-            full,
-        );
+        bench_json(threads, faults.unwrap_or(DEFAULT_FAULT_RATE), json_dir.as_deref(), check);
         return;
     }
 
@@ -469,8 +439,7 @@ fn run_sanitize(all: bool, self_test: bool, sample_k: Option<u64>, json_dir: Opt
         let corpus = enprop_sanitize::fixtures::self_test();
         let mut missed = 0usize;
         for (expected, rep) in &corpus {
-            let caught =
-                !rep.findings.is_empty() && rep.findings.iter().all(|f| f.checker == *expected);
+            let caught = caught(*expected, rep);
             println!(
                 "{}  {} — {} finding(s), {} suppressed (expected {})",
                 if caught { "caught" } else { "MISSED" },
@@ -558,15 +527,99 @@ fn run_sanitize(all: bool, self_test: bool, sample_k: Option<u64>, json_dir: Opt
     }
 }
 
-/// Self-describing state of the parallel-speedup `--check` gate, so a
-/// JSON consumer can tell an *earned* pass from a physically-forced skip
-/// on a small host instead of inferring it from a missing assertion.
+/// Whether a self-test fixture was caught: a non-empty report in which
+/// every finding comes from the intended checker.
+fn caught(expected: Checker, report: &KernelReport) -> bool {
+    !report.findings.is_empty() && report.findings.iter().all(|f| f.checker == expected)
+}
+
+/// Rounds behind every timed gate but `static_verify`'s. A gated ratio is
+/// the median of its per-round ratios, so a few stalled rounds on a shared
+/// host cannot move a verdict.
+const ROUNDS: usize = 21;
+
+/// Per-round seconds of each side of one comparison: `secs[side][round]`.
+struct Rounds {
+    secs: Vec<Vec<f64>>,
+}
+
+/// Runs every side once per round, in order on even rounds and in reverse
+/// on odd ones, so a slow stretch of the host lands on each side alike.
+/// Each side times its own work and returns the seconds, which keeps its
+/// set-up and output checks out of the sample.
+fn time_rounds(rounds: usize, sides: &mut [&mut dyn FnMut() -> f64]) -> Rounds {
+    let k = sides.len();
+    let mut secs = vec![Vec::with_capacity(rounds); k];
+    for round in 0..rounds {
+        for step in 0..k {
+            let side = if round % 2 == 0 { step } else { k - 1 - step };
+            secs[side].push(sides[side]());
+        }
+    }
+    Rounds { secs }
+}
+
+impl Rounds {
+    /// Rounds run.
+    fn count(&self) -> usize {
+        self.secs[0].len()
+    }
+
+    /// Median seconds of one side.
+    fn median(&self, side: usize) -> f64 {
+        spread(self.secs[side].clone()).median
+    }
+
+    /// The per-round ratio `secs[num] / secs[den]`, summarized.
+    fn ratio(&self, num: usize, den: usize) -> Spread {
+        spread(self.secs[num].iter().zip(&self.secs[den]).map(|(n, d)| n / d).collect())
+    }
+}
+
+/// Median and quartiles of a gated ratio's per-round values.
+#[derive(serde::Serialize, Clone, Copy, Debug, PartialEq)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+/// Order statistics at ranks `n/4`, `n/2` and `3n/4` of the sorted sample
+/// (the upper median for even counts).
+fn spread(mut sample: Vec<f64>) -> Spread {
+    assert!(!sample.is_empty(), "spread of an empty sample");
+    sample.sort_by(f64::total_cmp);
+    let rank = |quarter: usize| sample[quarter * sample.len() / 4];
+    Spread { median: rank(2), q1: rank(1), q3: rank(3) }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.3}x (quartiles {:.3}-{:.3}x)", self.median, self.q1, self.q3)
+    }
+}
+
+/// Runs `f` once: its seconds and its value.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let value = f();
+    (start.elapsed().as_secs_f64(), value)
+}
+
+/// Keeps a timed run's value in `slot` and hands back its seconds: the
+/// shape of one [`time_rounds`] side whose last output is checked.
+fn keep<T>(slot: &mut Option<T>, (secs, value): (f64, T)) -> f64 {
+    *slot = Some(value);
+    secs
+}
+
+/// Self-describing state of a gate that some hosts cannot run, so a JSON
+/// consumer can tell an earned pass from a skip.
 #[derive(serde::Serialize)]
 struct SpeedupGate {
-    /// The wall-clock speedup threshold was actually asserted.
+    /// The gate was asserted.
     enforced: bool,
-    /// The gate was skipped (1-core hosts: speedup is physically
-    /// impossible, only bitwise identity is checked).
+    /// The gate was skipped; `reason` says why.
     skipped: bool,
     /// Cores available to the process when the decision was made.
     host_cores: usize,
@@ -574,38 +627,614 @@ struct SpeedupGate {
     reason: Option<String>,
 }
 
+impl SpeedupGate {
+    fn enforced(host_cores: usize) -> Self {
+        Self { enforced: true, skipped: false, host_cores, reason: None }
+    }
+
+    fn skipped(host_cores: usize, reason: String) -> Self {
+        Self { enforced: false, skipped: true, host_cores, reason: Some(reason) }
+    }
+
+    /// A wall-clock parallel-speedup gate: enforced on hosts with at least
+    /// 4 cores, where the speedup is physically possible.
+    fn on_cores(host_cores: usize, what: &str) -> Self {
+        if host_cores < 4 {
+            Self::skipped(
+                host_cores,
+                format!(
+                    "host has {host_cores} core(s), so wall-clock {what} speedup is \
+                     physically impossible; bitwise identity is still verified"
+                ),
+            )
+        } else {
+            Self::enforced(host_cores)
+        }
+    }
+}
+
+/// One `bench-json` section: a struct built by the function that runs it.
+trait Section {
+    /// The checks this section failed, one line each. Correctness checks
+    /// (bitwise identity, findings, fixtures, lost configurations, static
+    /// proofs) fail every run; `check` adds the timing bounds.
+    fn failures(&self, check: bool) -> Vec<String>;
+}
+
+/// One section's failed checks.
+struct Failures {
+    check: bool,
+    failed: Vec<String>,
+}
+
+impl Failures {
+    fn new(check: bool) -> Self {
+        Self { check, failed: Vec::new() }
+    }
+
+    /// A correctness check: fails on every run.
+    fn require(&mut self, ok: bool, what: impl Into<String>) {
+        if !ok {
+            self.failed.push(what.into());
+        }
+    }
+
+    /// A timing bound: fails only under `--check`.
+    fn bound(&mut self, ok: bool, what: impl Into<String>) {
+        if self.check {
+            self.require(ok, what);
+        }
+    }
+}
+
+#[derive(serde::Serialize)]
+struct BenchReport {
+    /// Host cores available to the process — the physical ceiling on any
+    /// wall-clock parallel speedup reported below.
+    host_cores: usize,
+    sweep: SweepBench,
+    emulator_dgemm: EmulatorDgemm,
+    host_kernels: HostKernels,
+    fault_sweep: FaultSweep,
+    static_verify: StaticVerifyBench,
+    serve_throughput: ServeThroughput,
+}
+
+impl BenchReport {
+    /// Every section's failed checks, each prefixed with its section.
+    fn failures(&self, check: bool) -> Vec<String> {
+        let sections: [(&str, &dyn Section); 6] = [
+            ("sweep", &self.sweep),
+            ("emulator_dgemm", &self.emulator_dgemm),
+            ("host_kernels", &self.host_kernels),
+            ("fault_sweep", &self.fault_sweep),
+            ("static_verify", &self.static_verify),
+            ("serve_throughput", &self.serve_throughput),
+        ];
+        sections
+            .iter()
+            .flat_map(|(name, s)| {
+                s.failures(check).into_iter().map(move |f| format!("{name}: {f}"))
+            })
+            .collect()
+    }
+}
+
+/// Prints a finished section's JSON under its name and hands it back.
+fn emit<T: serde::Serialize>(name: &str, section: T) -> T {
+    println!("{name}: {}", to_json(&section));
+    section
+}
+
+/// The `bench-json` subcommand: runs the six sections in order, printing
+/// each one's JSON as it completes, writes `BENCH_sweep.json`, then exits
+/// non-zero if any section failed a check (see the module docs).
+fn bench_json(threads: Option<usize>, fault_rate: f64, json_dir: Option<&str>, check: bool) {
+    let host_cores = enprop_par::host_parallelism();
+    let report = BenchReport {
+        host_cores,
+        sweep: emit("sweep", bench_sweep(threads, host_cores)),
+        emulator_dgemm: emit("emulator_dgemm", bench_emulator_dgemm()),
+        host_kernels: emit("host_kernels", bench_host_kernels(host_cores)),
+        fault_sweep: emit("fault_sweep", bench_fault_sweep(fault_rate)),
+        static_verify: emit("static_verify", bench_static_verify()),
+        serve_throughput: emit("serve_throughput", bench_serve_throughput(host_cores)),
+    };
+
+    let dir = json_dir.unwrap_or(".");
+    std::fs::create_dir_all(dir).expect("create json dir");
+    let path = format!("{dir}/BENCH_sweep.json");
+    std::fs::write(&path, to_json(&report)).expect("write BENCH_sweep.json");
+    eprintln!("wrote {path}");
+
+    let failures = report.failures(check);
+    if failures.is_empty() {
+        let what = if check { "check and timing bound" } else { "correctness check" };
+        eprintln!("bench-json: every {what} passed");
+    } else {
+        for f in &failures {
+            eprintln!("bench-json FAILED: {f}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// The `sweep` section: the Fig. 7 measured workload (K40c, N = 8704 and
+/// 10240) serially and on the `--threads` executor in each round.
 #[derive(serde::Serialize)]
 struct SweepBench {
     workload: String,
     configs: usize,
     threads: usize,
+    rounds: usize,
+    /// Median seconds of the serial sweep.
     serial_secs: f64,
+    /// Median seconds of the parallel sweep.
     parallel_secs: f64,
-    serial_configs_per_sec: f64,
-    parallel_configs_per_sec: f64,
-    speedup: f64,
+    /// `serial / parallel` per round: gated >= 1.5x where `speedup_gate`
+    /// is enforced.
+    speedup: Spread,
+    /// The parallel sweep's points equal the serial sweep's bitwise.
     bitwise_identical: bool,
-    /// Whether the `--check` speedup gate applies to this run, and if
-    /// not, why.
     speedup_gate: SpeedupGate,
 }
 
-#[derive(serde::Serialize)]
-struct EmulatorBench {
-    workload: String,
-    blocks: usize,
-    /// SIMD tier the phase interpreter's batched bodies dispatched to.
-    simd_dispatch: String,
-    legacy_secs: f64,
-    phase_secs: f64,
-    legacy_blocks_per_sec: f64,
-    phase_blocks_per_sec: f64,
-    speedup: f64,
-    results_identical: bool,
+impl Section for SweepBench {
+    fn failures(&self, check: bool) -> Vec<String> {
+        let mut f = Failures::new(check);
+        f.require(self.bitwise_identical, "parallel sweep diverged from the serial output");
+        f.bound(
+            !self.speedup_gate.enforced || self.speedup.median >= 1.5,
+            format!(
+                "parallel speedup {} at {} threads is below 1.5x (host has {} cores)",
+                self.speedup, self.threads, self.speedup_gate.host_cores
+            ),
+        );
+        f.failed
+    }
 }
 
+fn bench_sweep(threads: Option<usize>, host_cores: usize) -> SweepBench {
+    let app = GpuMatMulApp::new(GpuArch::k40c(), 8);
+    let sizes = [8704usize, 10240];
+    let serial = SweepExecutor::serial(42);
+    let parallel = executor(42, threads);
+    let sweep = |exec: &SweepExecutor| timed(|| sizes.map(|n| app.sweep_measured(n, exec)));
+
+    let (mut serial_pts, mut parallel_pts) = (None, None);
+    let times = time_rounds(
+        ROUNDS,
+        &mut [
+            &mut || keep(&mut serial_pts, sweep(&serial)),
+            &mut || keep(&mut parallel_pts, sweep(&parallel)),
+        ],
+    );
+    let serial_pts = serial_pts.expect("rounds ran");
+    let speedup_gate = if parallel.threads() < 4 {
+        SpeedupGate::skipped(
+            host_cores,
+            format!("gate applies only at >= 4 threads; this run used {}", parallel.threads()),
+        )
+    } else {
+        SpeedupGate::on_cores(host_cores, "parallel")
+    };
+    SweepBench {
+        workload: "fig7 measured sweep (K40c, N = 8704 + 10240)".into(),
+        configs: serial_pts.iter().map(Vec::len).sum(),
+        threads: parallel.threads(),
+        rounds: times.count(),
+        serial_secs: times.median(0),
+        parallel_secs: times.median(1),
+        speedup: times.ratio(0, 1),
+        bitwise_identical: parallel_pts == Some(serial_pts),
+        speedup_gate,
+    }
+}
+
+/// The `emulator_dgemm` section: one serial-wave tiled-DGEMM fixture
+/// (N = 256, BS = 16: a 16 × 16 grid of 256-thread blocks) run five ways
+/// in each round, every ratio taken against the same round's scalar run.
 #[derive(serde::Serialize)]
-struct FaultSmoke {
+struct EmulatorDgemm {
+    workload: String,
+    blocks: usize,
+    /// SIMD tier the batched bodies dispatched to.
+    simd_dispatch: String,
+    rounds: usize,
+    /// The scalar per-thread interpreter (`run_unbatched`), median seconds.
+    scalar_secs: f64,
+    /// The batched SoA bodies at `simd_dispatch` (`run`).
+    batched_secs: f64,
+    /// The same bodies pinned to scalar-sse2, the auto-vectorized loops.
+    pinned_secs: f64,
+    /// Every block under the sanitizer's monitor, on the bulk trace path.
+    monitored_secs: f64,
+    /// 1-in-`sample_k` blocks monitored.
+    sampled_secs: f64,
+    sample_k: u64,
+    /// Blocks the sampled run monitored.
+    sampled_blocks: usize,
+    /// `scalar / batched` per round: gated >= 2x.
+    batched_speedup: Spread,
+    /// `pinned / batched`: gated >= 1.3x unless the host dispatches
+    /// scalar-sse2, where both sides are the same code.
+    simd_speedup: Spread,
+    /// `monitored / scalar`: gated <= 8x.
+    monitored_overhead: Spread,
+    /// `sampled / scalar`: gated <= 3x.
+    sampled_overhead: Spread,
+    /// Batched output and event counters equal the scalar ones bitwise.
+    batched_identical: bool,
+    /// Batched output and counters equal the pinned bodies' bitwise.
+    simd_identical: bool,
+    /// The monitored, sampled and per-access monitored runs left output
+    /// and counters bitwise equal to the scalar run.
+    monitored_identical: bool,
+    /// Findings, suppressed ones included, of the monitored and sampled
+    /// runs: 0 on the shipped kernel.
+    findings: usize,
+    /// The bulk-path findings equal, in order, those of one untimed run
+    /// monitored access by access (`ForceScalar`).
+    findings_identical: bool,
+    /// Self-test fixtures caught by their intended checker alone: must
+    /// equal `selftest_total`.
+    selftest_caught: usize,
+    selftest_total: usize,
+}
+
+impl Section for EmulatorDgemm {
+    fn failures(&self, check: bool) -> Vec<String> {
+        let mut f = Failures::new(check);
+        f.require(
+            self.batched_identical,
+            "batched bodies diverged from the scalar interpreter (results or counters)",
+        );
+        f.require(
+            self.simd_identical,
+            "explicit-SIMD bodies diverged from the pinned scalar-sse2 bodies \
+             (results or counters)",
+        );
+        f.require(
+            self.monitored_identical,
+            "a monitored run diverged from the uninstrumented scalar run",
+        );
+        f.require(
+            self.findings == 0,
+            format!("monitoring reported {} finding(s) on the shipped kernel", self.findings),
+        );
+        f.require(
+            self.findings_identical,
+            "bulk-monitoring findings differ from the per-access monitored run",
+        );
+        f.require(
+            self.selftest_caught == self.selftest_total,
+            format!(
+                "{}/{} self-test fixtures caught by their intended checker alone",
+                self.selftest_caught, self.selftest_total
+            ),
+        );
+        f.bound(
+            self.batched_speedup.median >= 2.0,
+            format!(
+                "batched speedup {} over the scalar interpreter is below 2x",
+                self.batched_speedup
+            ),
+        );
+        f.bound(
+            self.simd_dispatch == "scalar-sse2" || self.simd_speedup.median >= 1.3,
+            format!(
+                "explicit-SIMD ({}) speedup {} over the pinned scalar-sse2 bodies is below 1.3x",
+                self.simd_dispatch, self.simd_speedup
+            ),
+        );
+        f.bound(
+            self.monitored_overhead.median <= 8.0,
+            format!(
+                "monitoring overhead {} over the scalar interpreter exceeds 8x",
+                self.monitored_overhead
+            ),
+        );
+        f.bound(
+            self.sampled_overhead.median <= 3.0,
+            format!(
+                "1-in-{} sampled monitoring overhead {} over the scalar interpreter exceeds 3x",
+                self.sample_k, self.sampled_overhead
+            ),
+        );
+        f.failed
+    }
+}
+
+/// A DGEMM launch's output: C's bits and the flushed event counts.
+type Output = (Vec<u64>, EmuEvents);
+
+/// The bit patterns of a device buffer.
+fn bits(m: &GlobalMem) -> Vec<u64> {
+    m.to_vec().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One monitored DGEMM launch.
+struct Monitored {
+    output: Output,
+    outcome: enprop_sanitize::MonitorOutcome,
+    /// Blocks that ran under the monitor.
+    blocks: usize,
+}
+
+/// Launches `emu` on a fresh C with the blocks `select` picks under a
+/// `LaunchMonitor`, through the sink `wrap` makes of the monitor's. The
+/// seconds cover the launch alone.
+fn monitored_dgemm<S: AccessSink>(
+    emu: &EmuDgemm,
+    a: &GlobalMem,
+    b: &GlobalMem,
+    select: impl FnMut(usize, usize) -> bool,
+    wrap: impl Fn(enprop_sanitize::MonitorSink) -> S,
+) -> (f64, Monitored) {
+    let TiledDgemmConfig { n, bs, .. } = emu.config();
+    let c = GlobalMem::zeroed(n * n);
+    let mut table = enprop_sanitize::BufferTable::new();
+    table.register(a.id(), "A", n * n);
+    table.register(b.id(), "B", n * n);
+    table.register(c.id(), "C", n * n);
+    let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
+    let mut blocks = 0;
+    let (secs, events) = timed(|| {
+        emu.run_monitored_sampled(
+            a,
+            b,
+            &c,
+            select,
+            |_, _| {
+                blocks += 1;
+                monitor.begin_block();
+                wrap(monitor.sink())
+            },
+            |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
+        )
+    });
+    (secs, Monitored { output: (bits(&c), events), outcome: monitor.finish(), blocks })
+}
+
+fn bench_emulator_dgemm() -> EmulatorDgemm {
+    let (n, bs, sample_k) = (256usize, 16usize, 8u64);
+    let tiles = n / bs;
+    let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g: 1, r: 1 }).with_wave(WavePlan::fixed(1));
+    let pinned = emu.with_simd(SimdPath::ScalarSse2);
+    let spec = enprop_sanitize::SampleSpec::one_in(sample_k, SANITIZE_SAMPLE_SEED);
+    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
+    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
+    let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
+    let plain = |emu: &EmuDgemm, batched: bool| {
+        let c = GlobalMem::zeroed(n * n);
+        let (secs, events) =
+            timed(|| if batched { emu.run(&a, &b, &c) } else { emu.run_unbatched(&a, &b, &c) });
+        (secs, (bits(&c), events))
+    };
+
+    let (mut scalar, mut batched, mut simd_pinned) = (None, None, None);
+    let (mut monitored, mut sampled) = (None, None);
+    let times = time_rounds(
+        ROUNDS,
+        &mut [
+            &mut || keep(&mut scalar, plain(&emu, false)),
+            &mut || keep(&mut batched, plain(&emu, true)),
+            &mut || keep(&mut simd_pinned, plain(&pinned, true)),
+            &mut || keep(&mut monitored, monitored_dgemm(&emu, &a, &b, |_, _| true, |s| s)),
+            &mut || {
+                let select = |bx, by| spec.selects(tiles, bx, by);
+                keep(&mut sampled, monitored_dgemm(&emu, &a, &b, select, |s| s))
+            },
+        ],
+    );
+    let per_access = monitored_dgemm(&emu, &a, &b, |_, _| true, ForceScalar).1;
+    let [scalar, batched, simd_pinned] =
+        [scalar, batched, simd_pinned].map(|out| out.expect("rounds ran"));
+    let [monitored, sampled] = [monitored, sampled].map(|out| out.expect("rounds ran"));
+    let corpus = enprop_sanitize::fixtures::self_test();
+    let found = |m: &Monitored| m.outcome.findings.len() + m.outcome.suppressed;
+
+    EmulatorDgemm {
+        workload: format!("tiled DGEMM (N = {n}, BS = {bs}, G = 1, R = 1), serial waves"),
+        blocks: tiles * tiles,
+        simd_dispatch: emu.simd().as_str().to_string(),
+        rounds: times.count(),
+        scalar_secs: times.median(0),
+        batched_secs: times.median(1),
+        pinned_secs: times.median(2),
+        monitored_secs: times.median(3),
+        sampled_secs: times.median(4),
+        sample_k,
+        sampled_blocks: sampled.blocks,
+        batched_speedup: times.ratio(0, 1),
+        simd_speedup: times.ratio(2, 1),
+        monitored_overhead: times.ratio(3, 0),
+        sampled_overhead: times.ratio(4, 0),
+        batched_identical: batched == scalar,
+        simd_identical: simd_pinned == batched,
+        monitored_identical: [&monitored, &sampled, &per_access]
+            .iter()
+            .all(|m| m.output == scalar),
+        findings: found(&monitored) + found(&sampled),
+        findings_identical: monitored.outcome.findings == per_access.outcome.findings
+            && monitored.outcome.suppressed == per_access.outcome.suppressed,
+        selftest_caught: corpus.iter().filter(|(expected, rep)| caught(*expected, rep)).count(),
+        selftest_total: corpus.len(),
+    }
+}
+
+/// The `host_kernels` section: the packed register-tiled DGEMM against the
+/// unpacked blocked baseline and against its multi-threaded form, and the
+/// twiddle-hoisted 2-D FFT against its chunk-claiming parallel form, all
+/// on the same inputs in each round.
+#[derive(serde::Serialize)]
+struct HostKernels {
+    dgemm_shape: String,
+    fft2d_shape: String,
+    /// Instruction-set tier the packed DGEMM dispatched to (`avx2` or
+    /// `scalar`).
+    simd_dispatch: String,
+    /// Workers of the timed multi-threaded runs; identity is also checked
+    /// at 1 and 2.
+    threads: usize,
+    rounds: usize,
+    /// The unpacked three-loop blocked DGEMM, median seconds.
+    dgemm_unpacked_secs: f64,
+    /// The packed 4x8 register-tiled DGEMM, serial.
+    dgemm_packed_secs: f64,
+    /// `dgemm_blocked_mt` at `threads` workers.
+    dgemm_mt_secs: f64,
+    fft2d_serial_secs: f64,
+    /// `fft2d_parallel` at `threads` workers.
+    fft2d_mt_secs: f64,
+    /// `unpacked / packed` per round: gated >= 1.5x.
+    dgemm_speedup: Spread,
+    /// `packed / multi-threaded`: gated >= 1.3x where `speedup_gate` is
+    /// enforced.
+    dgemm_mt_speedup: Spread,
+    /// `serial / parallel` 2-D FFT: gated like `dgemm_mt_speedup`.
+    fft2d_mt_speedup: Spread,
+    /// Packed output matches the unpacked baseline to 1e-8 absolute.
+    dgemm_results_match: bool,
+    /// The multi-threaded DGEMM equals the serial packed one bitwise at 1,
+    /// 2 and `threads` workers.
+    dgemm_identical_across_threads: bool,
+    /// The parallel 2-D FFT equals the serial one bitwise at 1, 2 and
+    /// `threads` workers.
+    fft2d_identical_across_threads: bool,
+    speedup_gate: SpeedupGate,
+}
+
+impl Section for HostKernels {
+    fn failures(&self, check: bool) -> Vec<String> {
+        let mut f = Failures::new(check);
+        f.require(self.dgemm_results_match, "packed DGEMM diverged from the unpacked baseline");
+        f.require(
+            self.dgemm_identical_across_threads,
+            "multi-threaded DGEMM is not bitwise-identical to the serial kernel at 1/2/8 threads",
+        );
+        f.require(
+            self.fft2d_identical_across_threads,
+            "parallel 2-D FFT is not bitwise-identical to the serial kernel at 1/2/8 threads",
+        );
+        f.bound(
+            self.dgemm_speedup.median >= 1.5,
+            format!(
+                "packed DGEMM speedup {} over the unpacked baseline is below 1.5x",
+                self.dgemm_speedup
+            ),
+        );
+        for (what, speedup) in [
+            ("multi-threaded DGEMM", self.dgemm_mt_speedup),
+            ("parallel 2-D FFT", self.fft2d_mt_speedup),
+        ] {
+            f.bound(
+                !self.speedup_gate.enforced || speedup.median >= 1.3,
+                format!(
+                    "{what} speedup {speedup} at {} threads is below 1.3x (host has {} cores)",
+                    self.threads, self.speedup_gate.host_cores
+                ),
+            );
+        }
+        f.failed
+    }
+}
+
+fn bench_host_kernels(host_cores: usize) -> HostKernels {
+    use enprop_kernels::{
+        dgemm_blocked, dgemm_blocked_mt, dgemm_blocked_unpacked, fft2d_parallel, fft2d_serial,
+        Complex,
+    };
+
+    let threads = 8usize;
+    let (m, k, n, bs) = (256usize, 256usize, 256usize, 64usize);
+    let a: Vec<f64> = (0..m * k).map(|i| ((i % 11) as f64 - 5.0) * 0.25).collect();
+    let b: Vec<f64> = (0..k * n).map(|i| ((i % 13) as f64 - 6.0) * 0.125).collect();
+    let c0: Vec<f64> = (0..m * n).map(|i| ((i % 7) as f64 - 3.0) * 0.5).collect();
+    let fft_n = 512usize;
+    let signal: Vec<Complex> = (0..fft_n * fft_n)
+        .map(|i| Complex::new(((i % 17) as f64 - 8.0) * 0.1, ((i % 19) as f64 - 9.0) * 0.1))
+        .collect();
+    let fbits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let cbits = |s: &[Complex]| {
+        s.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect::<Vec<_>>()
+    };
+    // One run on a fresh copy of C or of the signal: seconds and output.
+    let gemm = |kernel: &dyn Fn(&mut [f64])| {
+        let mut c = c0.clone();
+        (timed(|| kernel(&mut c)).0, c)
+    };
+    let fft = |kernel: &dyn Fn(&mut [Complex])| {
+        let mut x = signal.clone();
+        (timed(|| kernel(&mut x)).0, x)
+    };
+    let mt = |t: usize, c: &mut [f64]| dgemm_blocked_mt(1.25, &a, &b, 0.75, c, m, k, n, bs, t);
+
+    let (mut unpacked, mut packed, mut dgemm_mt) = (None, None, None);
+    let (mut fft_serial, mut fft_mt) = (None, None);
+    let times = time_rounds(
+        ROUNDS,
+        &mut [
+            &mut || {
+                let kernel =
+                    |c: &mut [f64]| dgemm_blocked_unpacked(1.25, &a, &b, 0.75, c, m, k, n, bs);
+                keep(&mut unpacked, gemm(&kernel))
+            },
+            &mut || {
+                let kernel = |c: &mut [f64]| dgemm_blocked(1.25, &a, &b, 0.75, c, m, k, n, bs);
+                keep(&mut packed, gemm(&kernel))
+            },
+            &mut || keep(&mut dgemm_mt, gemm(&|c| mt(threads, c))),
+            &mut || keep(&mut fft_serial, fft(&|x| fft2d_serial(x, fft_n))),
+            &mut || keep(&mut fft_mt, fft(&|x| fft2d_parallel(x, fft_n, threads))),
+        ],
+    );
+    let [unpacked, packed, dgemm_mt] = [unpacked, packed, dgemm_mt].map(|c| c.expect("rounds ran"));
+    let [fft_serial, fft_mt] = [fft_serial, fft_mt].map(|x| x.expect("rounds ran"));
+    let max_abs_diff =
+        unpacked.iter().zip(&packed).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
+
+    // Identity at 1 and 2 workers, untimed, next to the timed runs at `threads`.
+    let dgemm_identical_across_threads = [1, 2]
+        .map(|t| gemm(&|c| mt(t, c)).1)
+        .iter()
+        .chain([&dgemm_mt])
+        .all(|c| fbits(c) == fbits(&packed));
+    let fft2d_identical_across_threads = [1, 2]
+        .map(|t| fft(&|x| fft2d_parallel(x, fft_n, t)).1)
+        .iter()
+        .chain([&fft_mt])
+        .all(|x| cbits(x) == cbits(&fft_serial));
+
+    HostKernels {
+        dgemm_shape: format!("m=k=n={m}, bs={bs}, alpha=1.25, beta=0.75"),
+        fft2d_shape: format!("{fft_n} x {fft_n}"),
+        simd_dispatch: enprop_kernels::simd_dispatch().to_string(),
+        threads,
+        rounds: times.count(),
+        dgemm_unpacked_secs: times.median(0),
+        dgemm_packed_secs: times.median(1),
+        dgemm_mt_secs: times.median(2),
+        fft2d_serial_secs: times.median(3),
+        fft2d_mt_secs: times.median(4),
+        dgemm_speedup: times.ratio(0, 1),
+        dgemm_mt_speedup: times.ratio(1, 2),
+        fft2d_mt_speedup: times.ratio(3, 4),
+        dgemm_results_match: max_abs_diff < 1e-8,
+        dgemm_identical_across_threads,
+        fft2d_identical_across_threads,
+        speedup_gate: SpeedupGate::on_cores(host_cores, "MT-kernel"),
+    }
+}
+
+/// The `fault_sweep` section: the Fig. 7 K40c workload at N = 8704 (102
+/// configurations) under `fault_rate` transient meter faults with the
+/// default 3-attempt retry policy. Each round runs it plain and journaled
+/// on one thread; untimed, it runs at 2 and 8 threads, and once journaled
+/// with a crash injected mid-journal (the final record torn), whose
+/// journal is then resumed at 1, 2 and 8 threads.
+#[derive(serde::Serialize)]
+struct FaultSweep {
     workload: String,
     fault_rate: f64,
     retry_attempts: usize,
@@ -617,244 +1246,326 @@ struct FaultSmoke {
     failed: usize,
     /// Configurations that needed more than one attempt (either way).
     retried: usize,
-    /// The exact exhausted-retry set, for the report.
-    failed_configs: Vec<String>,
-    /// The full failure records (configuration, attempts spent, final
-    /// error) behind `failed_configs`, machine-readable.
+    /// The exhausted-retry records: configuration, attempts, final error.
     failures: Vec<SweepFailure<TiledDgemmConfig>>,
-    /// Whether the 1-, 2-, and 8-thread runs produced identical sweeps
-    /// (points *and* failure records).
+    /// The 1-, 2- and 8-thread sweeps are equal, points and failures.
     identical_across_threads: bool,
-}
-
-/// The checkpoint-recovery drill: the fault-smoke sweep journaled, killed
-/// mid-journal by deterministic crash injection, and resumed.
-#[derive(serde::Serialize)]
-struct CheckpointRecovery {
-    workload: String,
-    /// Configurations in the sweep.
-    configs: usize,
-    /// Unjournaled single-thread sweep wall-clock (median over the pairs).
+    rounds: usize,
+    /// Median seconds of the plain sweep.
     plain_secs: f64,
-    /// The same sweep with every completed configuration journaled
-    /// (append + fdatasync per record), single-thread (median over the
-    /// pairs).
+    /// Median seconds with every completed configuration journaled.
     journaled_secs: f64,
-    /// Pairs of one plain and one journaled sweep behind the ratio.
-    journal_pairs: usize,
-    /// Median over the pairs of `journaled / plain` — the durability tax.
-    journal_overhead_ratio: f64,
-    /// First quartile of the per-pair ratios.
-    journal_ratio_q1: f64,
-    /// Third quartile of the per-pair ratios.
-    journal_ratio_q3: f64,
-    /// Durable records the crashed run had journaled before the kill.
+    /// `journaled / plain` per round, the durability tax: gated <= 1.10x.
+    journal_overhead: Spread,
+    /// The journaled sweep equals the plain one.
+    journaled_identical: bool,
+    /// Durable records the crashed run journaled before the kill.
     crash_after_records: usize,
     /// Bytes of the torn final record the injected crash left behind.
     torn_bytes_injected: usize,
-    /// Bytes of torn trailing record detected and dropped at resume —
-    /// must equal `torn_bytes_injected`.
+    /// Torn bytes the resume detected and dropped: must equal
+    /// `torn_bytes_injected`.
     torn_bytes_dropped: u64,
-    /// Configurations replayed from the journal by the resume.
+    /// Configurations the resume replayed from the journal.
     replayed: usize,
-    /// Configurations the resume had to measure again.
+    /// Configurations the resume measured again.
     recomputed: usize,
-    /// Resumes at 1, 2, and 8 threads all match the uninterrupted sweep
-    /// bitwise (points *and* failure records).
+    /// Resumes at 1, 2 and 8 threads all equal the uninterrupted sweep.
     resumed_identical_across_threads: bool,
 }
 
-#[derive(serde::Serialize)]
-struct SanitizeOverhead {
-    workload: String,
-    /// SIMD tier of the batched phase bodies both sides run on.
-    simd_dispatch: String,
-    /// Uninstrumented serial phase-interpreter run (best of 3).
-    uninstrumented_secs: f64,
-    /// The same launch under a `LaunchMonitor` (best of 3).
-    sanitized_secs: f64,
-    /// `sanitized_secs / uninstrumented_secs`.
-    overhead_ratio: f64,
-    /// Findings from the sanitized run — must be 0 for the shipped kernel.
-    findings: usize,
-    /// The sanitized run left the output bitwise-identical.
-    results_identical: bool,
+impl Section for FaultSweep {
+    fn failures(&self, check: bool) -> Vec<String> {
+        let mut f = Failures::new(check);
+        f.require(
+            self.measured + self.failed == self.configs,
+            format!(
+                "lost configurations: {} measured + {} failed != {} attempted",
+                self.measured, self.failed, self.configs
+            ),
+        );
+        f.require(
+            self.identical_across_threads,
+            "output differs across 1/2/8 threads: retry seed-splitting is no longer deterministic",
+        );
+        f.require(self.journaled_identical, "the journaled sweep diverged from the plain sweep");
+        f.require(
+            self.resumed_identical_across_threads,
+            "a resumed sweep diverged from the uninterrupted run",
+        );
+        f.require(
+            self.replayed + self.recomputed == self.configs,
+            format!(
+                "resume lost configurations: {} replayed + {} recomputed != {}",
+                self.replayed, self.recomputed, self.configs
+            ),
+        );
+        f.require(
+            self.torn_bytes_dropped == self.torn_bytes_injected as u64,
+            format!(
+                "the crash left {} torn byte(s) but the resume dropped {}",
+                self.torn_bytes_injected, self.torn_bytes_dropped
+            ),
+        );
+        f.bound(
+            self.journal_overhead.median <= 1.10,
+            format!("journal overhead {} exceeds the 1.10x budget", self.journal_overhead),
+        );
+        f.failed
+    }
 }
 
-/// The batched SoA fast path vs the scalar per-thread interpreter, both
-/// uninstrumented and serial, with results and event-counter totals
-/// compared exactly — plus the explicit-SIMD bodies vs the same batch
-/// bodies pinned to the scalar-sse2 tier (the PR 7 auto-vectorized
-/// baseline).
+/// Copies a flat journal directory (MANIFEST.json + segment files) so one
+/// crashed journal can seed several independent resume attempts.
+fn copy_journal(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).expect("create journal copy dir");
+    for entry in std::fs::read_dir(src).expect("read journal dir") {
+        let entry = entry.expect("read journal dir entry");
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy journal file");
+    }
+}
+
+fn bench_fault_sweep(fault_rate: f64) -> FaultSweep {
+    let app = GpuMatMulApp::new(GpuArch::k40c(), 8);
+    let n = 8704usize;
+    let policy = RetryPolicy::default();
+    let plan = FaultPlan::transient(fault_rate);
+    let at = |threads| SweepExecutor::new(42).with_threads(threads);
+    let exec1 = at(1);
+    let manifest = app.checkpoint_manifest(n, &exec1, &policy, &plan);
+    let root =
+        std::env::temp_dir().join(format!("enprop-bench-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let (mut plain, mut journaled, mut journals) = (None, None, 0);
+    let times = time_rounds(
+        ROUNDS,
+        &mut [
+            &mut || keep(&mut plain, timed(|| app.sweep_measured_robust(n, &exec1, policy, plan))),
+            &mut || {
+                journals += 1;
+                let dir = root.join(format!("journaled-{journals}"));
+                let checkpoint = SweepCheckpoint::fresh(&dir, manifest.clone())
+                    .expect("fresh journal for the overhead run");
+                let run = timed(|| {
+                    app.sweep_measured_robust_resumable(n, &exec1, policy, plan, checkpoint)
+                        .expect("journaled sweep")
+                });
+                keep(&mut journaled, run)
+            },
+        ],
+    );
+    let plain = plain.expect("rounds ran");
+    let journaled_identical = journaled.expect("rounds ran").sweep == plain;
+    let identical_across_threads =
+        [2, 8].iter().all(|&t| app.sweep_measured_robust(n, &at(t), policy, plan) == plain);
+
+    // Crash mid-journal: kill the writer after about half the records are
+    // durable, with a 9-byte torn frame dangling past the last good one.
+    // A plan that never fired leaves nothing torn, so the resume's
+    // torn-byte count fails the check.
+    let crash_after = plain.total / 2;
+    let torn_bytes = 9usize;
+    let crashed_dir = root.join("crashed");
+    let mut checkpoint = SweepCheckpoint::fresh(&crashed_dir, manifest.clone())
+        .expect("fresh journal for the crash run");
+    checkpoint.arm_crash(CrashPlan::kill_after(crash_after).with_torn_bytes(torn_bytes));
+    let _ = app
+        .sweep_measured_robust_resumable(n, &exec1, policy, plan, checkpoint)
+        .expect("crash-armed sweep");
+
+    // Resume the same crashed journal at 1, 2 and 8 threads, each from its
+    // own copy, since a successful resume completes the journal.
+    let resumes: Vec<_> = [1usize, 2, 8]
+        .iter()
+        .map(|&threads| {
+            let dir = root.join(format!("resume-t{threads}"));
+            copy_journal(&crashed_dir, &dir);
+            let checkpoint = SweepCheckpoint::resume(&dir, &manifest).expect("resume journal");
+            app.sweep_measured_robust_resumable(n, &at(threads), policy, plan, checkpoint)
+                .expect("resumed sweep")
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&root);
+    let last = resumes.last().expect("three resumes");
+
+    FaultSweep {
+        workload: format!("fig7 measured sweep (K40c, N = {n})"),
+        fault_rate,
+        retry_attempts: policy.max_attempts,
+        configs: plain.total,
+        measured: plain.points.len(),
+        failed: plain.failures.len(),
+        retried: plain.retried,
+        failures: plain.failures.clone(),
+        identical_across_threads,
+        rounds: times.count(),
+        plain_secs: times.median(0),
+        journaled_secs: times.median(1),
+        journal_overhead: times.ratio(1, 0),
+        journaled_identical,
+        crash_after_records: crash_after,
+        torn_bytes_injected: torn_bytes,
+        torn_bytes_dropped: last.torn_tail_bytes,
+        replayed: last.replayed,
+        recomputed: last.executed,
+        resumed_identical_across_threads: resumes.iter().all(|r| r.sweep == plain),
+    }
+}
+
+/// The static verifier's whole pipeline, shared by `verify-static` and the
+/// `static_verify` section: learn the DGEMM family model, sweep the four
+/// fig7/fig8 lattices analytically, re-verify the fixture corpus
+/// statically, and check the closed-form counts against flushed counters.
+struct StaticRun {
+    model: Result<enprop_staticcheck::DgemmStaticModel, enprop_staticcheck::Fallback>,
+    learn_secs: f64,
+    /// Empty when the model could not be learned.
+    lattices: Vec<enprop_staticcheck::dgemm::LatticeSweep>,
+    sweep_secs: f64,
+    fixtures: Vec<enprop_staticcheck::fixtures::FixtureOutcome>,
+    /// `(config, closed-form counts, flushed counts)` per validation config;
+    /// empty when the model could not be learned.
+    counts: Vec<(TiledDgemmConfig, EmuEvents, EmuEvents)>,
+}
+
+fn static_pipeline() -> StaticRun {
+    use enprop_staticcheck::dgemm::{validate_counts, validation_set};
+
+    let (learn_secs, model) = timed(enprop_staticcheck::DgemmStaticModel::learn);
+    let (sweep_secs, lattices, counts) = match &model {
+        Ok(m) => {
+            let (sweep_secs, lattices) = timed(|| enprop_staticcheck::verify_fig_lattices(m));
+            let counts = validation_set()
+                .into_iter()
+                .map(|cfg| {
+                    let (stat, flushed) = validate_counts(m, &cfg);
+                    (cfg, stat, flushed)
+                })
+                .collect();
+            (sweep_secs, lattices, counts)
+        }
+        Err(_) => (0.0, Vec::new(), Vec::new()),
+    };
+    let fixtures = enprop_staticcheck::fixtures::analyze_fixtures();
+    StaticRun { model, learn_secs, lattices, sweep_secs, fixtures, counts }
+}
+
+/// The `static_verify` section: the static pipeline (model learning + the
+/// four-lattice analytic sweep) timed once against the dynamic
+/// `sanitize --all` sweep, both on every host core whatever `--threads`
+/// says. One pair costs ~4 s and reads far above its 10x bound, so it is
+/// not repeated in rounds.
 #[derive(serde::Serialize)]
-struct EmulatorBatchBench {
+struct StaticVerifyBench {
     workload: String,
-    blocks: usize,
-    /// SIMD tier the production batched bodies dispatched to.
-    simd_dispatch: String,
-    /// Scalar per-thread phase loop (`ScalarProbe` baseline), best of 3.
-    scalar_secs: f64,
-    /// Batched SoA phase bodies (the production `NoSink` path, explicit
-    /// SIMD at `simd_dispatch`), best of 3.
-    batched_secs: f64,
-    /// The same batch bodies pinned to the scalar-sse2 tier — PR 7's
-    /// auto-vectorized loops — best of 3.
-    autovec_batched_secs: f64,
-    scalar_blocks_per_sec: f64,
-    batched_blocks_per_sec: f64,
-    /// `scalar_secs / batched_secs` — gated >= 2x by `--check`.
+    /// Tiny instrumented probe launches the family model learned from.
+    probe_launches: usize,
+    /// Lattice configurations verified analytically across all four
+    /// fig7/fig8 sweeps.
+    lattice_configs: usize,
+    /// Static findings across the lattice sweep (a clean tree has 0).
+    findings: usize,
+    /// Static fallbacks across the lattice sweep, plus one if the model
+    /// could not be learned (0: every config was proven).
+    fallbacks: usize,
+    /// Seeded buggy fixtures flagged statically by exactly the intended
+    /// checker.
+    fixtures_flagged: usize,
+    /// Fixtures whose static diagnostics name the same checker / phase /
+    /// buffer as the dynamic sanitizer's findings.
+    fixtures_parity: usize,
+    fixtures_total: usize,
+    /// Validation configs whose closed-form event counts equal the flushed
+    /// `EmuEvents` bitwise.
+    counts_exact: usize,
+    counts_validated: usize,
+    /// Model learning seconds (probe + fit + verify).
+    learn_secs: f64,
+    /// Analytic four-lattice sweep seconds.
+    sweep_secs: f64,
+    /// `learn_secs + sweep_secs`.
+    static_secs: f64,
+    /// The dynamic `sanitize --all` instrumented sweep.
+    dynamic_secs: f64,
+    /// `dynamic_secs / static_secs`: gated >= 10x.
     speedup: f64,
-    /// `autovec_batched_secs / batched_secs` — gated >= 1.3x by `--check`
-    /// whenever `simd_dispatch` is not `scalar-sse2` (on a scalar host the
-    /// two paths are the same code and the gate is skipped).
-    simd_speedup: f64,
-    /// The batched output is bitwise-identical to the scalar output.
-    results_identical: bool,
-    /// The batched event-counter totals equal the scalar totals exactly.
-    counters_identical: bool,
-    /// The explicit-SIMD output and counters are bitwise-identical to the
-    /// pinned scalar-sse2 batch bodies.
-    simd_results_identical: bool,
+    /// The dynamic sweep was itself clean (context, not gated here:
+    /// `repro sanitize --all` and its golden test own that).
+    dynamic_clean: bool,
 }
 
-/// Packed register-tiled host DGEMM vs the unpacked blocked baseline, and
-/// the twiddle-hoisted 2-D FFT, in GFLOPS.
-#[derive(serde::Serialize)]
-struct HostKernelsBench {
-    /// DGEMM problem shape, e.g. `m=k=n=256, bs=64`.
-    dgemm_shape: String,
-    /// Unpacked three-loop blocked kernel (the old `dgemm_blocked`),
-    /// best of 3.
-    dgemm_unpacked_secs: f64,
-    /// Packed-panel 4x4 register-tiled kernel, best of 3.
-    dgemm_packed_secs: f64,
-    dgemm_unpacked_gflops: f64,
-    dgemm_packed_gflops: f64,
-    /// `unpacked_secs / packed_secs` — gated >= 1.5x by `--check`.
-    dgemm_speedup: f64,
-    /// Packed output matches the unpacked baseline to 1e-8 absolute.
-    dgemm_results_match: bool,
-    /// 2-D FFT shape, e.g. `512 x 512`.
-    fft2d_shape: String,
-    /// Serial twiddle-hoisted 2-D FFT, best of 3.
-    fft2d_secs: f64,
-    /// By the paper's work measure `5 N^2 log2 N`.
-    fft2d_gflops: f64,
-    /// Instruction-set tier the host DGEMM driver dispatched to
-    /// (`avx2` or `scalar`).
-    simd_dispatch: String,
+impl Section for StaticVerifyBench {
+    fn failures(&self, check: bool) -> Vec<String> {
+        let mut f = Failures::new(check);
+        f.require(
+            self.findings == 0 && self.fallbacks == 0,
+            format!(
+                "the lattice is not proven clean: {} finding(s), {} fallback(s) across {} \
+                 config(s)",
+                self.findings, self.fallbacks, self.lattice_configs
+            ),
+        );
+        f.require(
+            self.fixtures_flagged == self.fixtures_total
+                && self.fixtures_parity == self.fixtures_total,
+            format!(
+                "missed seeded fixtures: {}/{} flagged, {}/{} with dynamic parity",
+                self.fixtures_flagged, self.fixtures_total, self.fixtures_parity,
+                self.fixtures_total
+            ),
+        );
+        f.require(
+            self.counts_exact == self.counts_validated,
+            format!(
+                "closed-form event counts diverged from flushed counters on {} of {} \
+                 validation config(s)",
+                self.counts_validated - self.counts_exact,
+                self.counts_validated
+            ),
+        );
+        f.bound(
+            self.static_secs * 10.0 <= self.dynamic_secs,
+            format!(
+                "static verification ({:.3}s) is not >= 10x faster than the dynamic \
+                 sanitize --all sweep ({:.2}s): speedup {:.1}x",
+                self.static_secs, self.dynamic_secs, self.speedup
+            ),
+        );
+        f.failed
+    }
 }
 
-/// Multi-threaded host kernels (PR 8): the packed DGEMM run over
-/// cursor-claimed row slabs and the chunk-claiming 2-D FFT, against their
-/// serial forms. Identity is bitwise at every thread count; the wall-clock
-/// speedup gate follows the `speedup_gate` convention (skipped
-/// self-describingly on hosts that cannot speed up).
-#[derive(serde::Serialize)]
-struct HostKernelsMt {
-    workload: String,
-    /// Instruction-set tier the packed DGEMM driver dispatched to.
-    simd_dispatch: String,
-    /// Worker count of the timed MT runs below (identity is additionally
-    /// checked at 1, 2, and 8 threads).
-    threads: usize,
-    /// Serial packed DGEMM, best of 3.
-    dgemm_serial_secs: f64,
-    /// `dgemm_blocked_mt` at `threads` workers, best of 3.
-    dgemm_mt_secs: f64,
-    /// `dgemm_serial_secs / dgemm_mt_secs`.
-    dgemm_speedup: f64,
-    /// MT output bitwise-equals the serial output at 1, 2, and 8 threads.
-    dgemm_identical_across_threads: bool,
-    /// Serial 2-D FFT, best of 3.
-    fft2d_serial_secs: f64,
-    /// `fft2d_parallel` at `threads` workers, best of 3.
-    fft2d_mt_secs: f64,
-    /// `fft2d_serial_secs / fft2d_mt_secs`.
-    fft2d_speedup: f64,
-    /// Parallel output bitwise-equals the serial output at 1, 2, and 8
-    /// threads.
-    fft2d_identical_across_threads: bool,
-    /// Whether the `--check` MT speedup gate applies to this run, and if
-    /// not, why (1-core hosts cannot speed up; identity is still gated).
-    speedup_gate: SpeedupGate,
+fn bench_static_verify() -> StaticVerifyBench {
+    let (dynamic_secs, dynamic) = timed(|| enprop_sanitize::sanitize_all(&GpuArch::k40c(), true));
+    let run = static_pipeline();
+    let static_secs = run.learn_secs + run.sweep_secs;
+    StaticVerifyBench {
+        workload: "fig7/fig8 lattice race/OOB/barrier safety + event counts".into(),
+        probe_launches: run.model.as_ref().map_or(0, |m| m.probe_configs.len()),
+        lattice_configs: run.lattices.iter().map(|s| s.configs).sum(),
+        findings: run.lattices.iter().map(|s| s.findings).sum(),
+        fallbacks: run.lattices.iter().map(|s| s.fallbacks).sum::<usize>()
+            + usize::from(run.model.is_err()),
+        fixtures_flagged: run.fixtures.iter().filter(|o| o.caught).count(),
+        fixtures_parity: run.fixtures.iter().filter(|o| o.parity).count(),
+        fixtures_total: run.fixtures.len(),
+        counts_exact: run.counts.iter().filter(|(_, stat, flushed)| stat == flushed).count(),
+        counts_validated: run.counts.len(),
+        learn_secs: run.learn_secs,
+        sweep_secs: run.sweep_secs,
+        static_secs,
+        dynamic_secs,
+        speedup: dynamic_secs / static_secs,
+        dynamic_clean: dynamic.clean(),
+    }
 }
 
-/// 1-in-k sampled sanitizing vs full monitoring vs the uninstrumented
-/// scalar interpreter (the path the monitor instruments), plus the
-/// self-test corpus run with sampling requested.
-#[derive(serde::Serialize)]
-struct SanitizeSampled {
-    workload: String,
-    /// The sampling denominator benchmarked (`--sample K` with K = 8).
-    sample_k: u64,
-    blocks: usize,
-    /// Blocks the sampled run actually monitored.
-    monitored_blocks: usize,
-    /// Uninstrumented scalar serial run, best of 3 — the baseline, since
-    /// monitored blocks run on the scalar path.
-    scalar_secs: f64,
-    /// Every block monitored, best of 3.
-    full_secs: f64,
-    /// 1-in-k blocks monitored, best of 3.
-    sampled_secs: f64,
-    /// `sampled_secs / scalar_secs` — gated <= 3x by `--check`.
-    overhead_vs_scalar: f64,
-    /// `full_secs / sampled_secs`, what sampling buys (informative).
-    speedup_vs_full: f64,
-    /// Findings from the sampled run — must be 0 for the shipped kernel.
-    findings: usize,
-    /// The sampled run left the output bitwise-identical.
-    results_identical: bool,
-    /// Self-test fixtures caught by their intended checker when sampling
-    /// is requested (the corpus always runs unsampled by design) — must
-    /// equal `selftest_total`.
-    selftest_caught: usize,
-    selftest_total: usize,
-    /// SIMD tier of the batched bodies the unmonitored blocks run on.
-    simd_dispatch: String,
-}
-
-/// Full monitoring riding the batched bulk trace path (PR 8 —
-/// `MonitorSink::BULK` consumes per-phase access batches) vs per-access
-/// scalar-hook monitoring (pinned via `ForceScalar`) vs the
-/// uninstrumented scalar interpreter.
-#[derive(serde::Serialize)]
-struct SanitizeBatched {
-    workload: String,
-    /// SIMD tier of the batched bodies the monitored run executes.
-    simd_dispatch: String,
-    /// Uninstrumented scalar-interpreter baseline, best of 3.
-    scalar_secs: f64,
-    /// Full monitoring through the per-access scalar hooks
-    /// (`ForceScalar` pins the interpreter loop), best of 2.
-    monitored_scalar_secs: f64,
-    /// Full monitoring riding the batched bulk trace path, best of 3.
-    monitored_batched_secs: f64,
-    /// `monitored_batched_secs / scalar_secs` — gated <= 8x by `--check`.
-    overhead_vs_scalar: f64,
-    /// `monitored_scalar_secs / monitored_batched_secs` — what the bulk
-    /// path buys over per-access monitoring (informative).
-    speedup_vs_scalar_monitoring: f64,
-    /// Findings from the batched-monitored run — must be 0 for the
-    /// shipped kernel.
-    findings: usize,
-    /// The batched-monitored findings equal the scalar-monitored findings
-    /// exactly (count, order, and content).
-    findings_identical: bool,
-    /// Both monitored runs left the output bitwise-identical to the
-    /// uninstrumented run.
-    results_identical: bool,
-    /// Self-test fixtures still caught with the bulk-capable sink — must
-    /// equal `selftest_total`.
-    selftest_caught: usize,
-    selftest_total: usize,
-}
-
-/// The sweep-serving daemon exercised end-to-end in-process: request
-/// bytes must be a pure function of the request (cold compute, warm hit,
-/// and a cache-bypassing recomputation all bitwise-equal), and the mixed
-/// hot/cold concurrent load must produce hits and identical hot bodies.
+/// The `serve_throughput` section: the sweep daemon in-process. Request
+/// bytes must be a pure function of the request (cold compute, warm hit
+/// and a cache-bypassing recomputation bitwise-equal), and the mixed
+/// hot/cold concurrent load must produce hits, identical hot bodies and
+/// no failed request.
 #[derive(serde::Serialize)]
 struct ServeThroughput {
     workload: String,
@@ -867,7 +1578,7 @@ struct ServeThroughput {
     /// Wall-clock of the load run, seconds.
     secs: f64,
     requests_per_sec: f64,
-    /// `hits / (hits + misses)` over the load run — gated > 0 by `--check`.
+    /// `hits / (hits + misses)` over the load run: must be > 0.
     cache_hit_rate: f64,
     /// `X-Cache: hit` responses in the load run.
     hits: usize,
@@ -885,1479 +1596,40 @@ struct ServeThroughput {
     socket_gate: SpeedupGate,
 }
 
-#[derive(serde::Serialize)]
-struct BenchReport {
-    /// Host cores available to the process — the physical ceiling on any
-    /// wall-clock parallel speedup reported below.
-    host_cores: usize,
-    sweep: SweepBench,
-    emulator: EmulatorBench,
-    emulator_batch: EmulatorBatchBench,
-    host_kernels: HostKernelsBench,
-    host_kernels_mt: HostKernelsMt,
-    fault_smoke: FaultSmoke,
-    checkpoint_recovery: CheckpointRecovery,
-    sanitize_overhead: SanitizeOverhead,
-    sanitize_sampled: SanitizeSampled,
-    sanitize_batched: SanitizeBatched,
-    static_verify: StaticVerifyBench,
-    serve_throughput: ServeThroughput,
-}
-
-/// The `static_verify` bench section: the static launch-space verifier's
-/// full pipeline (probe-based model learning + the analytic sweep of
-/// every fig7/fig8 lattice config) timed against the dynamic
-/// `sanitize --all` instrumented sweep, plus the fixture corpus and the
-/// closed-form counter cross-validation. Both timed sides run on every
-/// host core (`host_parallelism()` workers), independent of `--threads`.
-#[derive(serde::Serialize)]
-struct StaticVerifyBench {
-    /// Workload description.
-    workload: String,
-    /// Tiny instrumented probe launches the family model learned from.
-    probe_launches: usize,
-    /// Lattice configurations verified analytically across all four
-    /// fig7/fig8 sweeps.
-    lattice_configs: usize,
-    /// Static findings across the lattice sweep (a clean tree has 0).
-    findings: usize,
-    /// Static fallbacks across the lattice sweep (0: every config was
-    /// actually proven, none silently handed back to the dynamic path).
-    fallbacks: usize,
-    /// Seeded buggy fixtures flagged statically by exactly the intended
-    /// checker.
-    fixtures_flagged: usize,
-    /// Fixtures whose static diagnostics name the same checker / phase /
-    /// buffer as the dynamic sanitizer's findings.
-    fixtures_parity: usize,
-    /// Fixtures in the corpus.
-    fixtures_total: usize,
-    /// Executable validation configs whose closed-form event counts
-    /// equal the flushed `EmuEvents` bitwise.
-    counts_exact: usize,
-    /// Executable validation configs run.
-    counts_validated: usize,
-    /// Model learning wall-clock (probe + fit + verify).
-    learn_secs: f64,
-    /// Analytic four-lattice sweep wall-clock.
-    sweep_secs: f64,
-    /// Total static wall-clock (`learn_secs + sweep_secs`).
-    static_secs: f64,
-    /// Dynamic reference: the `sanitize --all` instrumented sweep.
-    dynamic_secs: f64,
-    /// `dynamic_secs / static_secs`.
-    speedup: f64,
-    /// The dynamic reference sweep was itself clean (context for the
-    /// zero-findings claim, not a gated value — the `sanitize_overhead`
-    /// section owns that gate).
-    dynamic_clean: bool,
-}
-
-/// Times the Fig. 7 measured workload (K40c, N = 8704 and 10240) serially
-/// and in parallel, checks bitwise identity; times the emulator old-vs-new
-/// engines on tiled DGEMM (N = 128, or 256 with `full`); writes
-/// `BENCH_sweep.json`. With `check`, exits non-zero on a perf regression
-/// (see module docs).
-fn bench_sweep(
-    threads: Option<usize>,
-    fault_rate: f64,
-    json_dir: Option<&str>,
-    check: bool,
-    full: bool,
-) {
-    let host_cores = enprop_par::host_parallelism();
-
-    let app = GpuMatMulApp::new(GpuArch::k40c(), 8);
-    let sizes = [8704usize, 10240];
-    let serial = SweepExecutor::serial(42);
-    let parallel = executor(42, threads);
-
-    let start = Instant::now();
-    let serial_pts: Vec<_> = sizes.iter().map(|&n| app.sweep_measured(n, &serial)).collect();
-    let serial_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let parallel_pts: Vec<_> = sizes.iter().map(|&n| app.sweep_measured(n, &parallel)).collect();
-    let parallel_secs = start.elapsed().as_secs_f64();
-
-    let configs: usize = serial_pts.iter().map(|pts| pts.len()).sum();
-    let bitwise_identical = serial_pts == parallel_pts;
-    let speedup_gate = if parallel.threads() < 4 {
-        SpeedupGate {
-            enforced: false,
-            skipped: true,
-            host_cores,
-            reason: Some(format!(
-                "gate applies only at >= 4 threads; this run used {}",
-                parallel.threads()
-            )),
+impl Section for ServeThroughput {
+    fn failures(&self, check: bool) -> Vec<String> {
+        let mut f = Failures::new(check);
+        if !self.socket_gate.enforced {
+            return f.failed;
         }
-    } else if host_cores < 4 {
-        SpeedupGate {
-            enforced: false,
-            skipped: true,
-            host_cores,
-            reason: Some(format!(
-                "host has {host_cores} core(s), so wall-clock parallel speedup is \
-                 physically impossible; bitwise identity is still verified"
-            )),
-        }
-    } else {
-        SpeedupGate { enforced: true, skipped: false, host_cores, reason: None }
-    };
-    let sweep = SweepBench {
-        workload: "fig7 measured sweep (K40c, N = 8704 + 10240)".into(),
-        configs,
-        threads: parallel.threads(),
-        serial_secs,
-        parallel_secs,
-        serial_configs_per_sec: configs as f64 / serial_secs,
-        parallel_configs_per_sec: configs as f64 / parallel_secs,
-        speedup: serial_secs / parallel_secs,
-        bitwise_identical,
-        speedup_gate,
-    };
-
-    println!(
-        "sweep: {} configurations, {} thread(s): serial {:.2}s ({:.0} cfg/s), \
-         parallel {:.2}s ({:.0} cfg/s), speedup {:.2}x, identical: {}",
-        sweep.configs,
-        sweep.threads,
-        sweep.serial_secs,
-        sweep.serial_configs_per_sec,
-        sweep.parallel_secs,
-        sweep.parallel_configs_per_sec,
-        sweep.speedup,
-        sweep.bitwise_identical
-    );
-    assert!(bitwise_identical, "parallel sweep diverged from serial output");
-
-    let emulator = bench_emulator_engines(full);
-    println!(
-        "emulator: {} ({} blocks, {}): legacy {:.2}s ({:.0} blk/s), \
-         phase {:.3}s ({:.0} blk/s), speedup {:.1}x, identical: {}",
-        emulator.workload,
-        emulator.blocks,
-        emulator.simd_dispatch,
-        emulator.legacy_secs,
-        emulator.legacy_blocks_per_sec,
-        emulator.phase_secs,
-        emulator.phase_blocks_per_sec,
-        emulator.speedup,
-        emulator.results_identical
-    );
-    assert!(emulator.results_identical, "phase engine diverged from legacy engine");
-
-    let emulator_batch = bench_emulator_batch();
-    println!(
-        "emulator batch: {} ({} blocks, {}): scalar {:.3}s ({:.0} blk/s), \
-         autovec {:.3}s, batched {:.3}s ({:.0} blk/s), speedup {:.2}x \
-         (simd {:.2}x), identical: {} (counters: {}, simd: {})",
-        emulator_batch.workload,
-        emulator_batch.blocks,
-        emulator_batch.simd_dispatch,
-        emulator_batch.scalar_secs,
-        emulator_batch.scalar_blocks_per_sec,
-        emulator_batch.autovec_batched_secs,
-        emulator_batch.batched_secs,
-        emulator_batch.batched_blocks_per_sec,
-        emulator_batch.speedup,
-        emulator_batch.simd_speedup,
-        emulator_batch.results_identical,
-        emulator_batch.counters_identical,
-        emulator_batch.simd_results_identical
-    );
-    assert!(emulator_batch.results_identical, "batched path diverged from scalar output");
-    assert!(emulator_batch.counters_identical, "batched path diverged from scalar counters");
-    assert!(
-        emulator_batch.simd_results_identical,
-        "explicit-SIMD bodies diverged from the pinned scalar-sse2 batch bodies"
-    );
-
-    let host_kernels = bench_host_kernels();
-    println!(
-        "host kernels: dgemm {}: unpacked {:.3}s ({:.2} GFLOPS), \
-         packed {:.3}s ({:.2} GFLOPS), speedup {:.2}x, match: {}; \
-         fft2d {}: {:.3}s ({:.2} GFLOPS)",
-        host_kernels.dgemm_shape,
-        host_kernels.dgemm_unpacked_secs,
-        host_kernels.dgemm_unpacked_gflops,
-        host_kernels.dgemm_packed_secs,
-        host_kernels.dgemm_packed_gflops,
-        host_kernels.dgemm_speedup,
-        host_kernels.dgemm_results_match,
-        host_kernels.fft2d_shape,
-        host_kernels.fft2d_secs,
-        host_kernels.fft2d_gflops
-    );
-    assert!(host_kernels.dgemm_results_match, "packed DGEMM diverged from the unpacked baseline");
-
-    let host_kernels_mt = bench_host_kernels_mt(host_cores);
-    println!(
-        "host kernels mt: {} ({}, {} thread(s)): dgemm serial {:.3}s, \
-         mt {:.3}s ({:.2}x), identical across 1/2/8: {}; \
-         fft2d serial {:.3}s, mt {:.3}s ({:.2}x), identical across 1/2/8: {}",
-        host_kernels_mt.workload,
-        host_kernels_mt.simd_dispatch,
-        host_kernels_mt.threads,
-        host_kernels_mt.dgemm_serial_secs,
-        host_kernels_mt.dgemm_mt_secs,
-        host_kernels_mt.dgemm_speedup,
-        host_kernels_mt.dgemm_identical_across_threads,
-        host_kernels_mt.fft2d_serial_secs,
-        host_kernels_mt.fft2d_mt_secs,
-        host_kernels_mt.fft2d_speedup,
-        host_kernels_mt.fft2d_identical_across_threads
-    );
-    assert!(
-        host_kernels_mt.dgemm_identical_across_threads,
-        "multi-threaded DGEMM diverged from the serial kernel"
-    );
-    assert!(
-        host_kernels_mt.fft2d_identical_across_threads,
-        "parallel 2-D FFT diverged from the serial kernel"
-    );
-
-    let fault_smoke = bench_fault_smoke(fault_rate);
-    println!(
-        "fault smoke: {} at {:.0}% transient rate, {} attempt(s): \
-         {} measured + {} failed of {} configs ({} retried), \
-         identical across 1/2/8 threads: {}",
-        fault_smoke.workload,
-        fault_smoke.fault_rate * 100.0,
-        fault_smoke.retry_attempts,
-        fault_smoke.measured,
-        fault_smoke.failed,
-        fault_smoke.configs,
-        fault_smoke.retried,
-        fault_smoke.identical_across_threads
-    );
-    if !fault_smoke.failed_configs.is_empty() {
-        println!("fault smoke: exhausted retries on {}", fault_smoke.failed_configs.join(", "));
-    }
-
-    let checkpoint_recovery = bench_checkpoint_recovery(fault_rate);
-    println!(
-        "checkpoint recovery: {}: plain {:.2}s, journaled {:.2}s ({:.3}x overhead, \
-         median of {} pairs, quartiles {:.3}-{:.3}x); \
-         crashed after {} record(s) + {} torn byte(s), resume dropped {} torn byte(s), \
-         replayed {} + recomputed {} of {} configs, \
-         resumed identical across 1/2/8 threads: {}",
-        checkpoint_recovery.workload,
-        checkpoint_recovery.plain_secs,
-        checkpoint_recovery.journaled_secs,
-        checkpoint_recovery.journal_overhead_ratio,
-        checkpoint_recovery.journal_pairs,
-        checkpoint_recovery.journal_ratio_q1,
-        checkpoint_recovery.journal_ratio_q3,
-        checkpoint_recovery.crash_after_records,
-        checkpoint_recovery.torn_bytes_injected,
-        checkpoint_recovery.torn_bytes_dropped,
-        checkpoint_recovery.replayed,
-        checkpoint_recovery.recomputed,
-        checkpoint_recovery.configs,
-        checkpoint_recovery.resumed_identical_across_threads
-    );
-
-    let sanitize_overhead = bench_sanitize_overhead();
-    println!(
-        "sanitize overhead: {}: uninstrumented {:.3}s, sanitized {:.3}s \
-         ({:.1}x), {} finding(s), identical: {}",
-        sanitize_overhead.workload,
-        sanitize_overhead.uninstrumented_secs,
-        sanitize_overhead.sanitized_secs,
-        sanitize_overhead.overhead_ratio,
-        sanitize_overhead.findings,
-        sanitize_overhead.results_identical
-    );
-
-    let sanitize_sampled = bench_sanitize_sampled();
-    println!(
-        "sanitize sampled: {} (k = {}): scalar {:.3}s, full {:.3}s, \
-         sampled {:.3}s ({:.2}x over scalar, {:.2}x faster than full), \
-         {} of {} block(s) monitored, {} finding(s), identical: {}, \
-         self-test {}/{}",
-        sanitize_sampled.workload,
-        sanitize_sampled.sample_k,
-        sanitize_sampled.scalar_secs,
-        sanitize_sampled.full_secs,
-        sanitize_sampled.sampled_secs,
-        sanitize_sampled.overhead_vs_scalar,
-        sanitize_sampled.speedup_vs_full,
-        sanitize_sampled.monitored_blocks,
-        sanitize_sampled.blocks,
-        sanitize_sampled.findings,
-        sanitize_sampled.results_identical,
-        sanitize_sampled.selftest_caught,
-        sanitize_sampled.selftest_total
-    );
-
-    let sanitize_batched = bench_sanitize_batched();
-    println!(
-        "sanitize batched: {} ({}): scalar {:.3}s, monitored scalar {:.3}s, \
-         monitored batched {:.3}s ({:.2}x over scalar, {:.2}x faster than \
-         scalar monitoring), {} finding(s), findings identical: {}, \
-         results identical: {}, self-test {}/{}",
-        sanitize_batched.workload,
-        sanitize_batched.simd_dispatch,
-        sanitize_batched.scalar_secs,
-        sanitize_batched.monitored_scalar_secs,
-        sanitize_batched.monitored_batched_secs,
-        sanitize_batched.overhead_vs_scalar,
-        sanitize_batched.speedup_vs_scalar_monitoring,
-        sanitize_batched.findings,
-        sanitize_batched.findings_identical,
-        sanitize_batched.results_identical,
-        sanitize_batched.selftest_caught,
-        sanitize_batched.selftest_total
-    );
-    assert!(
-        sanitize_batched.findings_identical,
-        "batched-monitoring findings diverged from the scalar monitored run"
-    );
-    assert!(
-        sanitize_batched.results_identical,
-        "a monitored run diverged from the uninstrumented scalar output"
-    );
-
-    let static_verify = bench_static_verify();
-    println!(
-        "static verify: {}: dynamic {:.2}s, static {:.3}s (learn {:.3}s + sweep {:.3}s), \
-         speedup {:.1}x; {} lattice config(s), {} finding(s), {} fallback(s); \
-         fixtures {}/{} caught ({} parity); counts exact {}/{}",
-        static_verify.workload,
-        static_verify.dynamic_secs,
-        static_verify.static_secs,
-        static_verify.learn_secs,
-        static_verify.sweep_secs,
-        static_verify.speedup,
-        static_verify.lattice_configs,
-        static_verify.findings,
-        static_verify.fallbacks,
-        static_verify.fixtures_flagged,
-        static_verify.fixtures_total,
-        static_verify.fixtures_parity,
-        static_verify.counts_exact,
-        static_verify.counts_validated
-    );
-
-    let serve_throughput = bench_serve_throughput(host_cores);
-    if serve_throughput.socket_gate.skipped {
-        println!(
-            "serve throughput: SKIPPED — {}",
-            serve_throughput.socket_gate.reason.as_deref().unwrap_or("unknown reason")
+        f.require(
+            self.cached_equals_fresh,
+            "a cache-bypassing recomputation is not bitwise-identical to the cached body",
         );
-    } else {
-        println!(
-            "serve throughput: {} ({} clients): {}/{} ok, {:.0} req/s, \
-             hit rate {:.2} ({} hits / {} misses), hot identical: {}, \
-             cached == fresh: {}, hit == cold: {}",
-            serve_throughput.workload,
-            serve_throughput.clients,
-            serve_throughput.ok,
-            serve_throughput.requests,
-            serve_throughput.requests_per_sec,
-            serve_throughput.cache_hit_rate,
-            serve_throughput.hits,
-            serve_throughput.misses,
-            serve_throughput.hot_bodies_identical,
-            serve_throughput.cached_equals_fresh,
-            serve_throughput.hit_equals_cold
+        f.require(self.hit_equals_cold, "a warm cache hit did not replay the cold body bitwise");
+        f.require(
+            self.hot_bodies_identical,
+            "concurrent clients saw different bytes for the same hot key",
         );
-    }
-
-    let report = BenchReport {
-        host_cores,
-        sweep,
-        emulator,
-        emulator_batch,
-        host_kernels,
-        host_kernels_mt,
-        fault_smoke,
-        checkpoint_recovery,
-        sanitize_overhead,
-        sanitize_sampled,
-        sanitize_batched,
-        static_verify,
-        serve_throughput,
-    };
-
-    let dir = json_dir.unwrap_or(".");
-    std::fs::create_dir_all(dir).expect("create json dir");
-    let path = format!("{dir}/BENCH_sweep.json");
-    let mut f = std::fs::File::create(&path).expect("create BENCH_sweep.json");
-    f.write_all(to_json(&report).as_bytes()).expect("write BENCH_sweep.json");
-    eprintln!("wrote {path}");
-
-    if check {
-        run_perf_gate(&report);
+        f.require(
+            self.cache_hit_rate > 0.0,
+            format!(
+                "cache hit rate {:.2} under the hot/cold load: deduplication is not happening",
+                self.cache_hit_rate
+            ),
+        );
+        f.require(
+            self.ok == self.requests,
+            format!("only {}/{} load-generator requests succeeded", self.ok, self.requests),
+        );
+        f.failed
     }
 }
 
-/// Old-vs-new engine comparison: tiled DGEMM at BS = 16 — a grid of
-/// 256-thread blocks through the retired OS-thread engine and the phase
-/// interpreter, same inputs, results compared bitwise. Defaults to
-/// N = 128 (an 8 × 8 grid): the OS-thread engine spawns one OS thread per
-/// CUDA thread and used to spend ~15 s of the benchmark's wall-clock on
-/// the N = 256 workload; `full` restores that historical size. The
-/// workload string names the size actually used.
-fn bench_emulator_engines(full: bool) -> EmulatorBench {
-    let n = if full { 256usize } else { 128 };
-    let bs = 16usize;
-    let cfg = TiledDgemmConfig { n, bs, g: 1, r: 1 };
-    let blocks = (n / bs) * (n / bs);
-    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let emu = EmuDgemm::new(cfg);
-
-    let (a, b, c_legacy) =
-        (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b), GlobalMem::zeroed(n * n));
-    let start = Instant::now();
-    emu.run_legacy(&a, &b, &c_legacy);
-    let legacy_secs = start.elapsed().as_secs_f64();
-
-    // The phase run is fast enough to jitter; take the best of three.
-    let mut phase_secs = f64::INFINITY;
-    let mut c_phase = GlobalMem::zeroed(n * n);
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        emu.with_wave(WavePlan::auto()).run(&a, &b, &c);
-        phase_secs = phase_secs.min(start.elapsed().as_secs_f64());
-        c_phase = c;
-    }
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    EmulatorBench {
-        workload: format!(
-            "tiled DGEMM (N = {n}, BS = {bs}, G = 1, R = 1{})",
-            if full { "" } else { "; default-reduced, --full restores N = 256" }
-        ),
-        blocks,
-        simd_dispatch: SimdPath::detect().as_str().to_string(),
-        legacy_secs,
-        phase_secs,
-        legacy_blocks_per_sec: blocks as f64 / legacy_secs,
-        phase_blocks_per_sec: blocks as f64 / phase_secs,
-        speedup: legacy_secs / phase_secs,
-        results_identical: bits(&c_legacy) == bits(&c_phase),
-    }
-}
-
-/// Instrumentation cost of the sanitizer on tiled DGEMM at N = 256,
-/// BS = 16: the serial phase interpreter with the no-op sink (which
-/// monomorphizes away) vs the same launch under a `LaunchMonitor`. Since
-/// PR 8 the monitored side rides the batched bulk trace path
-/// (`MonitorSink::BULK` consumes per-phase access batches), so this ratio
-/// prices full monitoring against the *batched* fast path — the
-/// apples-to-apples cost against the scalar interpreter is in the
-/// `sanitize_batched` section. Both sides run serially so the ratio
-/// isolates the shadow-memory cost rather than parallelism, and both are
-/// best-of-3.
-fn bench_sanitize_overhead() -> SanitizeOverhead {
-    let n = 256usize;
-    let bs = 16usize;
-    let cfg = TiledDgemmConfig { n, bs, g: 1, r: 1 };
-    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let emu = EmuDgemm::new(cfg).with_wave(WavePlan::fixed(1));
-
-    let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
-    let mut plain_secs = f64::INFINITY;
-    let mut c_plain = GlobalMem::zeroed(n * n);
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        emu.run(&a, &b, &c);
-        plain_secs = plain_secs.min(start.elapsed().as_secs_f64());
-        c_plain = c;
-    }
-
-    let mut sanitized_secs = f64::INFINITY;
-    let mut c_sanitized = GlobalMem::zeroed(n * n);
-    let mut findings = 0usize;
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let mut table = enprop_sanitize::BufferTable::new();
-        table.register(a.id(), "A", n * n);
-        table.register(b.id(), "B", n * n);
-        table.register(c.id(), "C", n * n);
-        let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
-        let start = Instant::now();
-        emu.run_monitored(
-            &a,
-            &b,
-            &c,
-            |_, _| {
-                monitor.begin_block();
-                monitor.sink()
-            },
-            |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
-        );
-        sanitized_secs = sanitized_secs.min(start.elapsed().as_secs_f64());
-        let out = monitor.finish();
-        findings = out.findings.len() + out.suppressed;
-        c_sanitized = c;
-    }
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    SanitizeOverhead {
-        workload: "tiled DGEMM (N = 256, BS = 16, G = 1, R = 1), serial waves".into(),
-        simd_dispatch: SimdPath::detect().as_str().to_string(),
-        uninstrumented_secs: plain_secs,
-        sanitized_secs,
-        overhead_ratio: sanitized_secs / plain_secs,
-        findings,
-        results_identical: bits(&c_plain) == bits(&c_sanitized),
-    }
-}
-
-/// Batched-vs-scalar comparison on the uninstrumented interpreter: tiled
-/// DGEMM at N = 256, BS = 16, serial waves. The scalar side runs through
-/// `run_unbatched` (a transparent non-inert sink pins the per-thread phase
-/// loop); the batched side is the production `run` path with its
-/// explicit-SIMD SoA phase bodies; a third side pins the same batch
-/// bodies to the scalar-sse2 tier (PR 7's auto-vectorized loops) to price
-/// the explicit SIMD alone. Results and event-counter totals must all
-/// match exactly.
-fn bench_emulator_batch() -> EmulatorBatchBench {
-    let n = 256usize;
-    let bs = 16usize;
-    let cfg = TiledDgemmConfig { n, bs, g: 1, r: 1 };
-    let blocks = (n / bs) * (n / bs);
-    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let emu = EmuDgemm::new(cfg).with_wave(WavePlan::fixed(1));
-    let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
-
-    let mut scalar_secs = f64::INFINITY;
-    let mut c_scalar = GlobalMem::zeroed(n * n);
-    let mut ev_scalar = Default::default();
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        let ev = emu.run_unbatched(&a, &b, &c);
-        scalar_secs = scalar_secs.min(start.elapsed().as_secs_f64());
-        c_scalar = c;
-        ev_scalar = ev;
-    }
-
-    let mut batched_secs = f64::INFINITY;
-    let mut c_batched = GlobalMem::zeroed(n * n);
-    let mut ev_batched = Default::default();
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        let ev = emu.run(&a, &b, &c);
-        batched_secs = batched_secs.min(start.elapsed().as_secs_f64());
-        c_batched = c;
-        ev_batched = ev;
-    }
-
-    let pinned = EmuDgemm::new(cfg).with_wave(WavePlan::fixed(1)).with_simd(SimdPath::ScalarSse2);
-    let mut autovec_batched_secs = f64::INFINITY;
-    let mut c_pinned = GlobalMem::zeroed(n * n);
-    let mut ev_pinned = Default::default();
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        let ev = pinned.run(&a, &b, &c);
-        autovec_batched_secs = autovec_batched_secs.min(start.elapsed().as_secs_f64());
-        c_pinned = c;
-        ev_pinned = ev;
-    }
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    EmulatorBatchBench {
-        workload: "tiled DGEMM (N = 256, BS = 16, G = 1, R = 1), serial waves".into(),
-        blocks,
-        simd_dispatch: emu.simd().as_str().to_string(),
-        scalar_secs,
-        batched_secs,
-        autovec_batched_secs,
-        scalar_blocks_per_sec: blocks as f64 / scalar_secs,
-        batched_blocks_per_sec: blocks as f64 / batched_secs,
-        speedup: scalar_secs / batched_secs,
-        simd_speedup: autovec_batched_secs / batched_secs,
-        results_identical: bits(&c_scalar) == bits(&c_batched),
-        counters_identical: ev_scalar == ev_batched,
-        simd_results_identical: bits(&c_batched) == bits(&c_pinned) && ev_batched == ev_pinned,
-    }
-}
-
-/// Host-kernel throughput: the packed 4x4 register-tiled DGEMM against
-/// the retained unpacked blocked baseline (same shape and block size,
-/// `2 m k n` flops), plus the serial twiddle-hoisted 2-D FFT by the
-/// paper's `5 N^2 log2 N` work measure. All timings best-of-3.
-fn bench_host_kernels() -> HostKernelsBench {
-    use enprop_kernels::{dgemm_blocked, dgemm_blocked_unpacked, fft2d_serial, Complex};
-
-    let (m, k, n, bs) = (256usize, 256usize, 256usize, 64usize);
-    let a: Vec<f64> = (0..m * k).map(|i| ((i % 11) as f64 - 5.0) * 0.25).collect();
-    let b: Vec<f64> = (0..k * n).map(|i| ((i % 13) as f64 - 6.0) * 0.125).collect();
-    let c0: Vec<f64> = (0..m * n).map(|i| ((i % 7) as f64 - 3.0) * 0.5).collect();
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-
-    // The two kernels alternate within each round so scheduler noise on a
-    // shared host hits both sides alike; best-of-7 per side.
-    let mut unpacked_secs = f64::INFINITY;
-    let mut packed_secs = f64::INFINITY;
-    let mut c_unpacked = Vec::new();
-    let mut c_packed = Vec::new();
-    for _ in 0..7 {
-        let mut c = c0.clone();
-        let start = Instant::now();
-        dgemm_blocked_unpacked(1.25, &a, &b, 0.75, &mut c, m, k, n, bs);
-        unpacked_secs = unpacked_secs.min(start.elapsed().as_secs_f64());
-        c_unpacked = c;
-
-        let mut c = c0.clone();
-        let start = Instant::now();
-        dgemm_blocked(1.25, &a, &b, 0.75, &mut c, m, k, n, bs);
-        packed_secs = packed_secs.min(start.elapsed().as_secs_f64());
-        c_packed = c;
-    }
-
-    let max_abs_diff = c_unpacked
-        .iter()
-        .zip(&c_packed)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f64, f64::max);
-
-    let fft_n = 512usize;
-    let signal: Vec<Complex> = (0..fft_n * fft_n)
-        .map(|i| Complex::new(((i % 17) as f64 - 8.0) * 0.1, ((i % 19) as f64 - 9.0) * 0.1))
-        .collect();
-    let mut fft2d_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let mut x = signal.clone();
-        let start = Instant::now();
-        fft2d_serial(&mut x, fft_n);
-        fft2d_secs = fft2d_secs.min(start.elapsed().as_secs_f64());
-    }
-    let fft_work = enprop_kernels::fft2d_work(fft_n);
-
-    HostKernelsBench {
-        dgemm_shape: format!("m=k=n={m}, bs={bs}, alpha=1.25, beta=0.75"),
-        dgemm_unpacked_secs: unpacked_secs,
-        dgemm_packed_secs: packed_secs,
-        dgemm_unpacked_gflops: flops / unpacked_secs / 1e9,
-        dgemm_packed_gflops: flops / packed_secs / 1e9,
-        dgemm_speedup: unpacked_secs / packed_secs,
-        dgemm_results_match: max_abs_diff < 1e-8,
-        fft2d_shape: format!("{fft_n} x {fft_n}"),
-        fft2d_secs,
-        fft2d_gflops: fft_work / fft2d_secs / 1e9,
-        simd_dispatch: enprop_kernels::simd_dispatch().to_string(),
-    }
-}
-
-/// Multi-threaded host kernels against their serial forms: the packed
-/// DGEMM over cursor-claimed row slabs (`dgemm_blocked_mt`) and the
-/// chunk-claiming 2-D FFT (`fft2d_parallel`). Output must be
-/// bitwise-identical to the serial kernel at 1, 2, and 8 threads — the
-/// slab/row decompositions never reorder any element's arithmetic — and
-/// the 8-thread wall-clock is reported. The speedup gate follows the
-/// `speedup_gate` convention: on hosts under 4 cores wall-clock speedup
-/// is physically impossible, so only identity is gated.
-fn bench_host_kernels_mt(host_cores: usize) -> HostKernelsMt {
-    use enprop_kernels::{dgemm_blocked, dgemm_blocked_mt, fft2d_parallel, fft2d_serial, Complex};
-
-    let threads = 8usize;
-    let fbits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let cbits = |s: &[Complex]| {
-        s.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect::<Vec<_>>()
-    };
-
-    let (m, k, n, bs) = (256usize, 256usize, 256usize, 64usize);
-    let a: Vec<f64> = (0..m * k).map(|i| ((i % 11) as f64 - 5.0) * 0.25).collect();
-    let b: Vec<f64> = (0..k * n).map(|i| ((i % 13) as f64 - 6.0) * 0.125).collect();
-    let c0: Vec<f64> = (0..m * n).map(|i| ((i % 7) as f64 - 3.0) * 0.5).collect();
-
-    let mut dgemm_serial_secs = f64::INFINITY;
-    let mut c_serial = Vec::new();
-    for _ in 0..3 {
-        let mut c = c0.clone();
-        let start = Instant::now();
-        dgemm_blocked(1.25, &a, &b, 0.75, &mut c, m, k, n, bs);
-        dgemm_serial_secs = dgemm_serial_secs.min(start.elapsed().as_secs_f64());
-        c_serial = c;
-    }
-    let dgemm_reference = fbits(&c_serial);
-
-    let mut dgemm_mt_secs = f64::INFINITY;
-    let mut dgemm_identical_across_threads = true;
-    for t in [1usize, 2, threads] {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut c = c0.clone();
-            let start = Instant::now();
-            dgemm_blocked_mt(1.25, &a, &b, 0.75, &mut c, m, k, n, bs, t);
-            best = best.min(start.elapsed().as_secs_f64());
-            dgemm_identical_across_threads &= fbits(&c) == dgemm_reference;
-        }
-        if t == threads {
-            dgemm_mt_secs = best;
-        }
-    }
-
-    let fft_n = 512usize;
-    let signal: Vec<Complex> = (0..fft_n * fft_n)
-        .map(|i| Complex::new(((i % 17) as f64 - 8.0) * 0.1, ((i % 19) as f64 - 9.0) * 0.1))
-        .collect();
-    let mut fft2d_serial_secs = f64::INFINITY;
-    let mut fft_serial = Vec::new();
-    for _ in 0..3 {
-        let mut x = signal.clone();
-        let start = Instant::now();
-        fft2d_serial(&mut x, fft_n);
-        fft2d_serial_secs = fft2d_serial_secs.min(start.elapsed().as_secs_f64());
-        fft_serial = x;
-    }
-    let fft_reference = cbits(&fft_serial);
-
-    let mut fft2d_mt_secs = f64::INFINITY;
-    let mut fft2d_identical_across_threads = true;
-    for t in [1usize, 2, threads] {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut x = signal.clone();
-            let start = Instant::now();
-            fft2d_parallel(&mut x, fft_n, t);
-            best = best.min(start.elapsed().as_secs_f64());
-            fft2d_identical_across_threads &= cbits(&x) == fft_reference;
-        }
-        if t == threads {
-            fft2d_mt_secs = best;
-        }
-    }
-
-    let speedup_gate = if host_cores < 4 {
-        SpeedupGate {
-            enforced: false,
-            skipped: true,
-            host_cores,
-            reason: Some(format!(
-                "host has {host_cores} core(s), so wall-clock MT-kernel speedup is \
-                 physically impossible; bitwise identity is still verified"
-            )),
-        }
-    } else {
-        SpeedupGate { enforced: true, skipped: false, host_cores, reason: None }
-    };
-
-    HostKernelsMt {
-        workload: format!("dgemm m=k=n={m}, bs={bs}; fft2d {fft_n} x {fft_n}"),
-        simd_dispatch: enprop_kernels::simd_dispatch().to_string(),
-        threads,
-        dgemm_serial_secs,
-        dgemm_mt_secs,
-        dgemm_speedup: dgemm_serial_secs / dgemm_mt_secs,
-        dgemm_identical_across_threads,
-        fft2d_serial_secs,
-        fft2d_mt_secs,
-        fft2d_speedup: fft2d_serial_secs / fft2d_mt_secs,
-        fft2d_identical_across_threads,
-        speedup_gate,
-    }
-}
-
-/// Sampled-sanitizer cost at k = 8 on tiled DGEMM (N = 256, BS = 16,
-/// serial waves): the uninstrumented *scalar* interpreter is the baseline
-/// (monitored blocks run on the scalar path, so it is the path sampling
-/// dilutes), full monitoring and 1-in-8 sampling are measured against it,
-/// and the self-test corpus is re-run with sampling requested to prove
-/// the corpus's unsampled-by-design rule keeps every fixture caught.
-fn bench_sanitize_sampled() -> SanitizeSampled {
-    let n = 256usize;
-    let bs = 16usize;
-    let sample_k = 8u64;
-    let cfg = TiledDgemmConfig { n, bs, g: 1, r: 1 };
-    let tiles = n / bs;
-    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let emu = EmuDgemm::new(cfg).with_wave(WavePlan::fixed(1));
-    let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
-
-    let mut scalar_secs = f64::INFINITY;
-    let mut c_scalar = GlobalMem::zeroed(n * n);
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        emu.run_unbatched(&a, &b, &c);
-        scalar_secs = scalar_secs.min(start.elapsed().as_secs_f64());
-        c_scalar = c;
-    }
-
-    // One monitored run under `spec`, best of 3: (secs, monitored blocks,
-    // findings incl. suppressed, output).
-    let monitored_run = |spec: enprop_sanitize::SampleSpec| {
-        let mut best_secs = f64::INFINITY;
-        let mut c_out = GlobalMem::zeroed(n * n);
-        let mut monitored = 0usize;
-        let mut findings = 0usize;
-        for _ in 0..3 {
-            let c = GlobalMem::zeroed(n * n);
-            let mut table = enprop_sanitize::BufferTable::new();
-            table.register(a.id(), "A", n * n);
-            table.register(b.id(), "B", n * n);
-            table.register(c.id(), "C", n * n);
-            let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
-            let mut count = 0usize;
-            let start = Instant::now();
-            emu.run_monitored_sampled(
-                &a,
-                &b,
-                &c,
-                |bx, by| spec.selects(tiles, bx, by),
-                |_, _| {
-                    count += 1;
-                    monitor.begin_block();
-                    monitor.sink()
-                },
-                |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
-            );
-            best_secs = best_secs.min(start.elapsed().as_secs_f64());
-            let out = monitor.finish();
-            findings = out.findings.len() + out.suppressed;
-            monitored = count;
-            c_out = c;
-        }
-        (best_secs, monitored, findings, c_out)
-    };
-
-    let (full_secs, _, _, _) = monitored_run(enprop_sanitize::SampleSpec::full());
-    let spec = enprop_sanitize::SampleSpec::one_in(sample_k, SANITIZE_SAMPLE_SEED);
-    let (sampled_secs, monitored_blocks, findings, c_sampled) = monitored_run(spec);
-
-    let corpus = enprop_sanitize::fixtures::self_test();
-    let selftest_total = corpus.len();
-    let selftest_caught = corpus
-        .iter()
-        .filter(|(expected, rep)| {
-            !rep.findings.is_empty() && rep.findings.iter().all(|f| f.checker == *expected)
-        })
-        .count();
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    SanitizeSampled {
-        workload: "tiled DGEMM (N = 256, BS = 16, G = 1, R = 1), serial waves".into(),
-        sample_k,
-        blocks: tiles * tiles,
-        monitored_blocks,
-        scalar_secs,
-        full_secs,
-        sampled_secs,
-        overhead_vs_scalar: sampled_secs / scalar_secs,
-        speedup_vs_full: full_secs / sampled_secs,
-        findings,
-        results_identical: bits(&c_scalar) == bits(&c_sampled),
-        selftest_caught,
-        selftest_total,
-        simd_dispatch: SimdPath::detect().as_str().to_string(),
-    }
-}
-
-/// Full monitoring on the batched bulk trace path vs per-access
-/// scalar-hook monitoring vs the uninstrumented scalar interpreter, all
-/// on tiled DGEMM (N = 256, BS = 16, serial waves). `ForceScalar` pins
-/// the per-access side; findings are compared rendering-exact, outputs
-/// bitwise. This is the section behind the `--check` rule that full
-/// monitoring must cost no more than 8x the uninstrumented *scalar*
-/// interpreter now that shadow updates ride the batched path.
-fn bench_sanitize_batched() -> SanitizeBatched {
-    let n = 256usize;
-    let bs = 16usize;
-    let cfg = TiledDgemmConfig { n, bs, g: 1, r: 1 };
-    let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let emu = EmuDgemm::new(cfg).with_wave(WavePlan::fixed(1));
-    let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
-
-    let mut scalar_secs = f64::INFINITY;
-    let mut c_scalar = GlobalMem::zeroed(n * n);
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let start = Instant::now();
-        emu.run_unbatched(&a, &b, &c);
-        scalar_secs = scalar_secs.min(start.elapsed().as_secs_f64());
-        c_scalar = c;
-    }
-
-    let render = |findings: &[enprop_sanitize::Finding]| {
-        findings.iter().map(|f| format!("{f:?}")).collect::<Vec<_>>()
-    };
-
-    // One fully-monitored run per round: bulk rides `monitor.sink()`
-    // straight (MonitorSink::BULK consumes phase batches), scalar wraps it
-    // in ForceScalar to pin the per-access interpreter loop.
-    let mut monitored_batched_secs = f64::INFINITY;
-    let mut batched_findings = Vec::new();
-    let mut batched_suppressed = 0usize;
-    let mut c_batched = GlobalMem::zeroed(n * n);
-    for _ in 0..3 {
-        let c = GlobalMem::zeroed(n * n);
-        let mut table = enprop_sanitize::BufferTable::new();
-        table.register(a.id(), "A", n * n);
-        table.register(b.id(), "B", n * n);
-        table.register(c.id(), "C", n * n);
-        let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
-        let start = Instant::now();
-        emu.run_monitored(
-            &a,
-            &b,
-            &c,
-            |_, _| {
-                monitor.begin_block();
-                monitor.sink()
-            },
-            |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
-        );
-        monitored_batched_secs = monitored_batched_secs.min(start.elapsed().as_secs_f64());
-        let out = monitor.finish();
-        batched_findings = render(&out.findings);
-        batched_suppressed = out.suppressed;
-        c_batched = c;
-    }
-
-    let mut monitored_scalar_secs = f64::INFINITY;
-    let mut scalar_findings = Vec::new();
-    let mut scalar_suppressed = 0usize;
-    let mut c_mon_scalar = GlobalMem::zeroed(n * n);
-    for _ in 0..2 {
-        let c = GlobalMem::zeroed(n * n);
-        let mut table = enprop_sanitize::BufferTable::new();
-        table.register(a.id(), "A", n * n);
-        table.register(b.id(), "B", n * n);
-        table.register(c.id(), "C", n * n);
-        let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
-        let start = Instant::now();
-        emu.run_monitored(
-            &a,
-            &b,
-            &c,
-            |_, _| {
-                monitor.begin_block();
-                ForceScalar(monitor.sink())
-            },
-            |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
-        );
-        monitored_scalar_secs = monitored_scalar_secs.min(start.elapsed().as_secs_f64());
-        let out = monitor.finish();
-        scalar_findings = render(&out.findings);
-        scalar_suppressed = out.suppressed;
-        c_mon_scalar = c;
-    }
-
-    let corpus = enprop_sanitize::fixtures::self_test();
-    let selftest_total = corpus.len();
-    let selftest_caught = corpus
-        .iter()
-        .filter(|(expected, rep)| rep.findings.iter().any(|f| f.checker == *expected))
-        .count();
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    SanitizeBatched {
-        workload: "tiled DGEMM (N = 256, BS = 16, G = 1, R = 1), serial waves".into(),
-        simd_dispatch: SimdPath::detect().as_str().to_string(),
-        scalar_secs,
-        monitored_scalar_secs,
-        monitored_batched_secs,
-        overhead_vs_scalar: monitored_batched_secs / scalar_secs,
-        speedup_vs_scalar_monitoring: monitored_scalar_secs / monitored_batched_secs,
-        findings: batched_findings.len() + batched_suppressed,
-        findings_identical: batched_findings == scalar_findings
-            && batched_suppressed == scalar_suppressed,
-        results_identical: bits(&c_batched) == bits(&c_scalar)
-            && bits(&c_mon_scalar) == bits(&c_scalar),
-        selftest_caught,
-        selftest_total,
-    }
-}
-
-/// The fault-injection smoke sweep: the Fig. 7 K40c workload at N = 8704
-/// (102 configurations) through a meter that drops `fault_rate` of all
-/// reads, with the default 3-attempt retry policy, run at 1, 2, and
-/// 8 threads. Every configuration must come back as either a point or a
-/// recorded failure, and all three runs must agree exactly — points and
-/// failure records both.
-fn bench_fault_smoke(fault_rate: f64) -> FaultSmoke {
-    let app = GpuMatMulApp::new(GpuArch::k40c(), 8);
-    let n = 8704usize;
-    let policy = RetryPolicy::default();
-    let plan = FaultPlan::transient(fault_rate);
-
-    let sweeps: Vec<_> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
-            let exec = SweepExecutor::new(42).with_threads(t);
-            app.sweep_measured_robust(n, &exec, policy, plan)
-        })
-        .collect();
-    let identical_across_threads = sweeps.windows(2).all(|w| w[0] == w[1]);
-    let s = &sweeps[0];
-
-    FaultSmoke {
-        workload: format!("fig7 measured sweep (K40c, N = {n})"),
-        fault_rate,
-        retry_attempts: policy.max_attempts,
-        configs: s.total,
-        measured: s.points.len(),
-        failed: s.failures.len(),
-        retried: s.retried,
-        failed_configs: s
-            .failures
-            .iter()
-            .map(|f| format!("BS={} G={} R={}", f.config.bs, f.config.g, f.config.r))
-            .collect(),
-        failures: s.failures.clone(),
-        identical_across_threads,
-    }
-}
-
-/// Pairs of plain and journaled sweeps behind the journal-overhead gate:
-/// enough that its median ignores a few stalled pairs, at ~0.13 s a pair.
-const JOURNAL_PAIRS: usize = 21;
-
-/// Median of a timing sample (sorts in place; the upper median for even
-/// counts).
-fn median(samples: &mut [f64]) -> f64 {
-    assert!(!samples.is_empty(), "median of an empty sample");
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Copies a flat journal directory (MANIFEST.json + segment files) so one
-/// crashed journal can seed several independent resume attempts.
-fn copy_journal(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create journal copy dir");
-    for entry in std::fs::read_dir(src).expect("read journal dir") {
-        let entry = entry.expect("read journal dir entry");
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy journal file");
-    }
-}
-
-/// The checkpoint-recovery drill behind `BENCH_sweep.json`'s
-/// `checkpoint_recovery` section: run the fault-smoke sweep (K40c,
-/// N = 8704, 102 configurations) plain and journaled — in
-/// [`JOURNAL_PAIRS`] alternating pairs at one thread, median of the
-/// per-pair ratios — to price the durability tax, then run it with an
-/// injected crash
-/// that kills the journal writer mid-sweep — tearing the final record —
-/// and resume the crashed journal at 1, 2, and 8 threads, requiring every
-/// resume to be bitwise-identical to the uninterrupted sweep.
-fn bench_checkpoint_recovery(fault_rate: f64) -> CheckpointRecovery {
-    let app = GpuMatMulApp::new(GpuArch::k40c(), 8);
-    let n = 8704usize;
-    let policy = RetryPolicy::default();
-    let plan = FaultPlan::transient(fault_rate);
-    let exec1 = SweepExecutor::new(42).with_threads(1);
-    let manifest = app.checkpoint_manifest(n, &exec1, &policy, &plan);
-
-    let root = std::env::temp_dir()
-        .join(format!("enprop-bench-checkpoint-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-
-    // Reference sweep and the durability tax, single-threaded, measured
-    // the way `benchmark/README.md` compares two commits: pairs of one
-    // plain and one journaled sweep, alternating which runs first, and the
-    // median of the per-pair ratios with its quartiles. One plain sweep
-    // takes ~0.06 s, so a single scheduler stall moves one pair's ratio by
-    // more than the whole budget; the median over pairs does not follow it.
-    let mut plain_runs = Vec::with_capacity(JOURNAL_PAIRS);
-    let mut journaled_runs = Vec::with_capacity(JOURNAL_PAIRS);
-    let mut ratios = Vec::with_capacity(JOURNAL_PAIRS);
-    let mut plain = None;
-    for pair in 0..JOURNAL_PAIRS {
-        let run_plain = || {
-            let start = Instant::now();
-            let sweep = app.sweep_measured_robust(n, &exec1, policy, plan);
-            (start.elapsed().as_secs_f64(), sweep)
-        };
-        let run_journaled = || {
-            let journaled_dir = root.join(format!("journaled-{pair}"));
-            let checkpoint = SweepCheckpoint::fresh(&journaled_dir, manifest.clone())
-                .expect("fresh journal for the overhead run");
-            let start = Instant::now();
-            let journaled = app
-                .sweep_measured_robust_resumable(n, &exec1, policy, plan, checkpoint)
-                .expect("journaled sweep");
-            (start.elapsed().as_secs_f64(), journaled)
-        };
-        let ((plain_secs, sweep), (journaled_secs, journaled)) = if pair % 2 == 0 {
-            let p = run_plain();
-            (p, run_journaled())
-        } else {
-            let j = run_journaled();
-            (run_plain(), j)
-        };
-        assert!(journaled.sweep == sweep, "journaled sweep diverged from the plain sweep");
-        plain_runs.push(plain_secs);
-        journaled_runs.push(journaled_secs);
-        ratios.push(journaled_secs / plain_secs);
-        plain = Some(sweep);
-    }
-    let plain = plain.expect("plain sweep ran");
-    let configs = plain.total;
-    let plain_secs = median(&mut plain_runs);
-    let journaled_secs = median(&mut journaled_runs);
-    let journal_overhead_ratio = median(&mut ratios);
-    // `median` sorted the ratios.
-    let (journal_ratio_q1, journal_ratio_q3) =
-        (ratios[JOURNAL_PAIRS / 4], ratios[3 * JOURNAL_PAIRS / 4]);
-
-    // Crash mid-journal: kill the writer after about half the records are
-    // durable, with a 9-byte torn frame dangling past the last good one.
-    let crash_after = configs / 2;
-    let torn_bytes = 9usize;
-    let crashed_dir = root.join("crashed");
-    let mut checkpoint = SweepCheckpoint::fresh(&crashed_dir, manifest.clone())
-        .expect("fresh journal for the crash run");
-    checkpoint.arm_crash(CrashPlan::kill_after(crash_after).with_torn_bytes(torn_bytes));
-    let crashed = app
-        .sweep_measured_robust_resumable(n, &exec1, policy, plan, checkpoint)
-        .expect("crash-armed sweep");
-    assert!(crashed.crashed, "the armed crash plan never fired");
-
-    // Resume the same crashed journal at 1, 2, and 8 threads — each from
-    // its own copy, since a successful resume completes the journal.
-    let mut replayed = 0usize;
-    let mut recomputed = 0usize;
-    let mut torn_bytes_dropped = 0u64;
-    let mut resumed_identical_across_threads = true;
-    for threads in [1usize, 2, 8] {
-        let dir = root.join(format!("resume-t{threads}"));
-        copy_journal(&crashed_dir, &dir);
-        let exec = SweepExecutor::new(42).with_threads(threads);
-        let checkpoint = SweepCheckpoint::resume(&dir, &manifest).expect("resume journal");
-        let resumed = app
-            .sweep_measured_robust_resumable(n, &exec, policy, plan, checkpoint)
-            .expect("resumed sweep");
-        resumed_identical_across_threads &= resumed.sweep == plain;
-        replayed = resumed.replayed;
-        recomputed = resumed.executed;
-        torn_bytes_dropped = resumed.torn_tail_bytes;
-    }
-
-    let _ = std::fs::remove_dir_all(&root);
-    CheckpointRecovery {
-        workload: format!("fig7 measured sweep (K40c, N = {n}), fault rate {fault_rate}"),
-        configs,
-        plain_secs,
-        journaled_secs,
-        journal_pairs: JOURNAL_PAIRS,
-        journal_overhead_ratio,
-        journal_ratio_q1,
-        journal_ratio_q3,
-        crash_after_records: crash_after,
-        torn_bytes_injected: torn_bytes,
-        torn_bytes_dropped,
-        replayed,
-        recomputed,
-        resumed_identical_across_threads,
-    }
-}
-
-/// The `--check` perf gate. Exits non-zero on regression so a scheduler
-/// regression like PR 2's 0.98× sweep "speedup" cannot land silently.
-fn run_perf_gate(report: &BenchReport) {
-    let mut failures = Vec::new();
-
-    if report.emulator.speedup < 10.0 {
-        failures.push(format!(
-            "emulator phase-interpreter speedup {:.1}x over the legacy engine is below 10x",
-            report.emulator.speedup
-        ));
-    }
-
-    let batch = &report.emulator_batch;
-    if batch.speedup < 2.0 {
-        failures.push(format!(
-            "batched emulator speedup {:.2}x over the scalar interpreter is below 2x",
-            batch.speedup
-        ));
-    }
-    if !batch.results_identical || !batch.counters_identical {
-        failures.push(
-            "batched emulator path diverged from the scalar interpreter \
-             (results or counters)"
-                .to_string(),
-        );
-    }
-    if batch.simd_dispatch == "scalar-sse2" {
-        eprintln!(
-            "check: skipping explicit-SIMD speedup gate — host dispatches scalar-sse2, \
-             so the explicit-SIMD bodies and the pinned baseline are the same code"
-        );
-    } else if batch.simd_speedup < 1.3 {
-        failures.push(format!(
-            "explicit-SIMD ({}) speedup {:.2}x over the pinned scalar-sse2 batch bodies \
-             is below 1.3x",
-            batch.simd_dispatch, batch.simd_speedup
-        ));
-    }
-    if !batch.simd_results_identical {
-        failures.push(
-            "explicit-SIMD batch bodies diverged from the pinned scalar-sse2 bodies \
-             (results or counters)"
-                .to_string(),
-        );
-    }
-
-    let host = &report.host_kernels;
-    if host.dgemm_speedup < 1.5 {
-        failures.push(format!(
-            "packed DGEMM speedup {:.2}x over the unpacked blocked baseline is below 1.5x",
-            host.dgemm_speedup
-        ));
-    }
-    if !host.dgemm_results_match {
-        failures.push("packed DGEMM output diverged from the unpacked baseline".to_string());
-    }
-
-    let mt = &report.host_kernels_mt;
-    if !mt.dgemm_identical_across_threads {
-        failures.push(
-            "multi-threaded DGEMM is not bitwise-identical to the serial kernel \
-             at 1/2/8 threads"
-                .to_string(),
-        );
-    }
-    if !mt.fft2d_identical_across_threads {
-        failures.push(
-            "parallel 2-D FFT is not bitwise-identical to the serial kernel \
-             at 1/2/8 threads"
-                .to_string(),
-        );
-    }
-    if mt.speedup_gate.enforced {
-        if mt.dgemm_speedup < 1.3 {
-            failures.push(format!(
-                "multi-threaded DGEMM speedup {:.2}x at {} threads is below 1.3x \
-                 (host has {} cores)",
-                mt.dgemm_speedup, mt.threads, mt.speedup_gate.host_cores
-            ));
-        }
-        if mt.fft2d_speedup < 1.3 {
-            failures.push(format!(
-                "parallel 2-D FFT speedup {:.2}x at {} threads is below 1.3x \
-                 (host has {} cores)",
-                mt.fft2d_speedup, mt.threads, mt.speedup_gate.host_cores
-            ));
-        }
-    } else if let Some(reason) = &mt.speedup_gate.reason {
-        eprintln!("check: skipping MT host-kernel speedup gate — {reason}");
-    }
-
-    let gate = &report.sweep.speedup_gate;
-    if gate.enforced {
-        if report.sweep.speedup < 1.5 {
-            failures.push(format!(
-                "fig7 measured-sweep parallel speedup {:.2}x at {} threads is below 1.5x \
-                 (host has {} cores)",
-                report.sweep.speedup, report.sweep.threads, gate.host_cores
-            ));
-        }
-    } else if let Some(reason) = &gate.reason {
-        eprintln!("check: skipping sweep-speedup gate — {reason}");
-    }
-
-    let smoke = &report.fault_smoke;
-    if smoke.measured + smoke.failed != smoke.configs {
-        failures.push(format!(
-            "fault smoke lost configurations: {} measured + {} failed != {} attempted",
-            smoke.measured, smoke.failed, smoke.configs
-        ));
-    }
-    if !smoke.identical_across_threads {
-        failures.push(
-            "fault smoke output differs across 1/2/8 threads — retry seed-splitting \
-             is no longer deterministic"
-                .to_string(),
-        );
-    }
-
-    let recovery = &report.checkpoint_recovery;
-    if !recovery.resumed_identical_across_threads {
-        failures.push(
-            "checkpoint recovery: a resumed sweep diverged from the uninterrupted run"
-                .to_string(),
-        );
-    }
-    if recovery.replayed + recovery.recomputed != recovery.configs {
-        failures.push(format!(
-            "checkpoint recovery lost configurations: {} replayed + {} recomputed != {}",
-            recovery.replayed, recovery.recomputed, recovery.configs
-        ));
-    }
-    if recovery.torn_bytes_dropped != recovery.torn_bytes_injected as u64 {
-        failures.push(format!(
-            "checkpoint recovery: crash left {} torn byte(s) but resume dropped {}",
-            recovery.torn_bytes_injected, recovery.torn_bytes_dropped
-        ));
-    }
-    if recovery.journal_overhead_ratio > 1.10 {
-        failures.push(format!(
-            "checkpoint journal overhead {:.3}x (median of {} pairs) exceeds the 1.10x budget",
-            recovery.journal_overhead_ratio, recovery.journal_pairs
-        ));
-    }
-
-    let sanitize = &report.sanitize_overhead;
-    if sanitize.findings != 0 {
-        failures.push(format!(
-            "sanitized DGEMM reported {} finding(s) on the shipped kernel",
-            sanitize.findings
-        ));
-    }
-    if !sanitize.results_identical {
-        failures
-            .push("sanitized DGEMM output diverged from the uninstrumented run".to_string());
-    }
-
-    let sampled = &report.sanitize_sampled;
-    if sampled.overhead_vs_scalar > 3.0 {
-        failures.push(format!(
-            "sampled-sanitizer overhead {:.2}x at k = {} exceeds the 3x budget",
-            sampled.overhead_vs_scalar, sampled.sample_k
-        ));
-    }
-    if sampled.findings != 0 {
-        failures.push(format!(
-            "sampled sanitizer reported {} finding(s) on the shipped kernel",
-            sampled.findings
-        ));
-    }
-    if !sampled.results_identical {
-        failures.push("sampled-sanitizer output diverged from the scalar run".to_string());
-    }
-    if sampled.selftest_caught != sampled.selftest_total {
-        failures.push(format!(
-            "sampling cost the self-test corpus {} fixture(s): {}/{} caught",
-            sampled.selftest_total - sampled.selftest_caught,
-            sampled.selftest_caught,
-            sampled.selftest_total
-        ));
-    }
-
-    let batched_mon = &report.sanitize_batched;
-    if batched_mon.overhead_vs_scalar > 8.0 {
-        failures.push(format!(
-            "batched-monitoring overhead {:.2}x over the uninstrumented scalar \
-             interpreter exceeds the 8x budget",
-            batched_mon.overhead_vs_scalar
-        ));
-    }
-    if batched_mon.findings != 0 {
-        failures.push(format!(
-            "batched monitoring reported {} finding(s) on the shipped kernel",
-            batched_mon.findings
-        ));
-    }
-    if !batched_mon.findings_identical {
-        failures.push(
-            "batched-monitoring findings differ from the scalar monitored run".to_string(),
-        );
-    }
-    if !batched_mon.results_identical {
-        failures.push(
-            "a monitored run diverged from the uninstrumented scalar output".to_string(),
-        );
-    }
-    if batched_mon.selftest_caught != batched_mon.selftest_total {
-        failures.push(format!(
-            "the bulk-capable sink cost the self-test corpus {} fixture(s): {}/{} caught",
-            batched_mon.selftest_total - batched_mon.selftest_caught,
-            batched_mon.selftest_caught,
-            batched_mon.selftest_total
-        ));
-    }
-
-    let stat = &report.static_verify;
-    if stat.findings != 0 || stat.fallbacks != 0 {
-        failures.push(format!(
-            "static verifier did not prove the sweep lattice clean: {} finding(s), \
-             {} fallback(s) across {} config(s)",
-            stat.findings, stat.fallbacks, stat.lattice_configs
-        ));
-    }
-    if stat.fixtures_flagged != stat.fixtures_total || stat.fixtures_parity != stat.fixtures_total
-    {
-        failures.push(format!(
-            "static verifier missed seeded fixtures: {}/{} flagged, {}/{} with dynamic \
-             parity",
-            stat.fixtures_flagged, stat.fixtures_total, stat.fixtures_parity,
-            stat.fixtures_total
-        ));
-    }
-    if stat.counts_exact != stat.counts_validated {
-        failures.push(format!(
-            "closed-form event counts diverged from flushed counters on {} of {} \
-             validation config(s)",
-            stat.counts_validated - stat.counts_exact,
-            stat.counts_validated
-        ));
-    }
-    if stat.static_secs * 10.0 > stat.dynamic_secs {
-        failures.push(format!(
-            "static lattice verification ({:.3}s) is not >= 10x faster than the dynamic \
-             sanitize --all sweep ({:.2}s): speedup {:.1}x",
-            stat.static_secs, stat.dynamic_secs, stat.speedup
-        ));
-    }
-
-    let serve = &report.serve_throughput;
-    if serve.socket_gate.enforced {
-        if !serve.cached_equals_fresh {
-            failures.push(
-                "serve: a cache-bypassing recomputation is not bitwise-identical to \
-                 the cached body"
-                    .to_string(),
-            );
-        }
-        if !serve.hit_equals_cold {
-            failures.push(
-                "serve: a warm cache hit did not replay the cold body bitwise".to_string(),
-            );
-        }
-        if !serve.hot_bodies_identical {
-            failures.push(
-                "serve: concurrent clients saw different bytes for the same hot key"
-                    .to_string(),
-            );
-        }
-        if serve.cache_hit_rate <= 0.0 {
-            failures.push(format!(
-                "serve: cache hit rate {:.2} under the hot/cold load — deduplication \
-                 is not happening",
-                serve.cache_hit_rate
-            ));
-        }
-        if serve.ok != serve.requests {
-            failures.push(format!(
-                "serve: only {}/{} load-generator requests succeeded",
-                serve.ok, serve.requests
-            ));
-        }
-    } else if let Some(reason) = &serve.socket_gate.reason {
-        eprintln!("check: skipping serve-throughput gate — {reason}");
-    }
-
-    if failures.is_empty() {
-        eprintln!("check: all performance gates passed");
-    } else {
-        for f in &failures {
-            eprintln!("check FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// The `serve_throughput` bench section: an in-process daemon on an
+/// Runs the `serve_throughput` section: an in-process daemon on an
 /// ephemeral loopback port, the three-way bitwise-identity check (cold
 /// miss == warm hit == `no_cache` recomputation), then the mixed hot/cold
-/// concurrent load. Hosts where loopback cannot bind record a
-/// self-describing skip instead of failing.
+/// concurrent load. Hosts where loopback cannot bind record a skip.
 fn bench_serve_throughput(host_cores: usize) -> ServeThroughput {
     use enprop_serve::{LoadOptions, ServeConfig, Server, SweepRequest};
 
@@ -2388,12 +1660,7 @@ fn bench_serve_throughput(host_cores: usize) -> ServeThroughput {
         hot_bodies_identical: false,
         cached_equals_fresh: false,
         hit_equals_cold: false,
-        socket_gate: SpeedupGate {
-            enforced: false,
-            skipped: true,
-            host_cores,
-            reason: Some(reason),
-        },
+        socket_gate: SpeedupGate::skipped(host_cores, reason),
     };
 
     let config = ServeConfig { threads: 0, ..ServeConfig::default() };
@@ -2459,89 +1726,10 @@ fn bench_serve_throughput(host_cores: usize) -> ServeThroughput {
         hot_bodies_identical: load.hot_identical,
         cached_equals_fresh,
         hit_equals_cold,
-        socket_gate: SpeedupGate {
-            enforced: true,
-            skipped: false,
-            host_cores,
-            reason: None,
-        },
+        socket_gate: SpeedupGate::enforced(host_cores),
     };
     server.shutdown();
     report
-}
-
-/// Common core of the `static_verify` section and the `verify-static`
-/// subcommand: learn the DGEMM family model, analytically sweep the four
-/// fig7/fig8 lattices, re-verify the fixture corpus, and cross-validate
-/// the closed-form counters. The dynamic `sanitize --all` reference
-/// sweep is timed first so the speedup compares full coverage against
-/// full coverage.
-fn bench_static_verify() -> StaticVerifyBench {
-    use enprop_staticcheck::dgemm::{validate_counts, validation_set};
-    use enprop_staticcheck::fixtures::analyze_fixtures;
-    use enprop_staticcheck::{verify_fig_lattices, DgemmStaticModel};
-
-    let start = Instant::now();
-    let dynamic_report = enprop_sanitize::sanitize_all(&GpuArch::k40c(), true);
-    let dynamic_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let model = DgemmStaticModel::learn();
-    let learn_secs = start.elapsed().as_secs_f64();
-
-    let (probe_launches, lattice_configs, findings, fallbacks, sweep_secs) = match &model {
-        Ok(m) => {
-            let start = Instant::now();
-            let sweeps = verify_fig_lattices(m);
-            let sweep_secs = start.elapsed().as_secs_f64();
-            (
-                m.probe_configs.len(),
-                sweeps.iter().map(|s| s.configs).sum(),
-                sweeps.iter().map(|s| s.findings).sum(),
-                sweeps.iter().map(|s| s.fallbacks).sum(),
-                sweep_secs,
-            )
-        }
-        // A model that cannot be learned is a fallback of the whole
-        // lattice: the gate fails on `fallbacks != 0`.
-        Err(_) => (0, 0, 0, 1, 0.0),
-    };
-
-    let outcomes = analyze_fixtures();
-    let fixtures_flagged = outcomes.iter().filter(|o| o.caught).count();
-    let fixtures_parity = outcomes.iter().filter(|o| o.parity).count();
-
-    let vals = validation_set();
-    let counts_exact = match &model {
-        Ok(m) => vals
-            .iter()
-            .filter(|cfg| {
-                let (stat, dynamic) = validate_counts(m, cfg);
-                stat == dynamic
-            })
-            .count(),
-        Err(_) => 0,
-    };
-
-    let static_secs = learn_secs + sweep_secs;
-    StaticVerifyBench {
-        workload: "fig7/fig8 lattice race/OOB/barrier safety + event counts".into(),
-        probe_launches,
-        lattice_configs,
-        findings,
-        fallbacks,
-        fixtures_flagged,
-        fixtures_parity,
-        fixtures_total: outcomes.len(),
-        counts_exact,
-        counts_validated: vals.len(),
-        learn_secs,
-        sweep_secs,
-        static_secs,
-        dynamic_secs,
-        speedup: dynamic_secs / static_secs,
-        dynamic_clean: dynamic_report.clean(),
-    }
 }
 
 /// The `verify-static` subcommand: proves race / out-of-bounds / barrier
@@ -2550,32 +1738,23 @@ fn bench_static_verify() -> StaticVerifyBench {
 /// corpus statically (with dynamic-diagnostic parity), and exits
 /// non-zero on any finding, fallback, missed fixture, or count mismatch.
 fn run_verify_static(json_dir: Option<&str>) {
-    use enprop_staticcheck::dgemm::{validate_counts, validation_set};
-    use enprop_staticcheck::fixtures::analyze_fixtures;
-    use enprop_staticcheck::{verify_fig_lattices, DgemmStaticModel};
-
-    let mut failed = false;
-
-    let start = Instant::now();
-    let model = match DgemmStaticModel::learn() {
+    let run = static_pipeline();
+    let model = match &run.model {
         Ok(m) => m,
         Err(fb) => {
             eprintln!("verify-static: cannot learn the DGEMM family model: {fb}");
             std::process::exit(1);
         }
     };
-    let learn_secs = start.elapsed().as_secs_f64();
+    let mut failed = false;
     println!(
         "verify-static: DGEMM family model learned and verified from {} tiny probe \
          launches in {:.3}s",
         model.probe_configs.len(),
-        learn_secs
+        run.learn_secs
     );
 
-    let start = Instant::now();
-    let sweeps = verify_fig_lattices(&model);
-    let sweep_secs = start.elapsed().as_secs_f64();
-    for s in &sweeps {
+    for s in &run.lattices {
         let clean = s.findings == 0 && s.fallbacks == 0;
         println!(
             "verify-static: {}: {} configuration(s) — {} finding(s), {} fallback(s){}",
@@ -2595,13 +1774,13 @@ fn run_verify_static(json_dir: Option<&str>) {
         }
         failed |= !clean;
     }
-    let total: usize = sweeps.iter().map(|s| s.configs).sum();
+    let total: usize = run.lattices.iter().map(|s| s.configs).sum();
     println!(
-        "verify-static: analytic sweep of {total} lattice configuration(s) in {sweep_secs:.3}s"
+        "verify-static: analytic sweep of {total} lattice configuration(s) in {:.3}s",
+        run.sweep_secs
     );
 
-    let outcomes = analyze_fixtures();
-    for o in &outcomes {
+    for o in &run.fixtures {
         let ok = o.caught && o.parity;
         println!(
             "verify-static: {} {} — {} static finding(s) (expected {}), dynamic parity: {}",
@@ -2620,10 +1799,8 @@ fn run_verify_static(json_dir: Option<&str>) {
         failed |= !ok;
     }
 
-    let vals = validation_set();
     let mut counts_exact = 0usize;
-    for cfg in &vals {
-        let (stat, dynamic) = validate_counts(&model, cfg);
+    for (cfg, stat, dynamic) in &run.counts {
         if stat == dynamic {
             counts_exact += 1;
         } else {
@@ -2636,7 +1813,7 @@ fn run_verify_static(json_dir: Option<&str>) {
     println!(
         "verify-static: closed-form event counts bitwise-exact on {counts_exact}/{} \
          executed validation configuration(s)",
-        vals.len()
+        run.counts.len()
     );
 
     if let Some(dir) = json_dir {
@@ -2668,9 +1845,10 @@ fn run_verify_static(json_dir: Option<&str>) {
         }
         let artifact = VerifyStaticJson {
             probe_launches: model.probe_configs.len(),
-            learn_secs,
-            sweep_secs,
-            lattices: sweeps
+            learn_secs: run.learn_secs,
+            sweep_secs: run.sweep_secs,
+            lattices: run
+                .lattices
                 .iter()
                 .map(|s| LatticeJson {
                     label: s.label.clone(),
@@ -2679,7 +1857,8 @@ fn run_verify_static(json_dir: Option<&str>) {
                     fallbacks: s.fallbacks,
                 })
                 .collect(),
-            fixtures: outcomes
+            fixtures: run
+                .fixtures
                 .iter()
                 .map(|o| FixtureJson {
                     label: o.label.clone(),
@@ -2690,7 +1869,7 @@ fn run_verify_static(json_dir: Option<&str>) {
                 })
                 .collect(),
             counts_exact,
-            counts_validated: vals.len(),
+            counts_validated: run.counts.len(),
             clean: !failed,
         };
         std::fs::create_dir_all(dir).expect("create json dir");
@@ -2707,8 +1886,8 @@ fn run_verify_static(json_dir: Option<&str>) {
     println!(
         "verify-static: all {total} lattice configuration(s) proven clean, {}/{} fixtures \
          caught with parity, counts exact",
-        outcomes.iter().filter(|o| o.caught && o.parity).count(),
-        outcomes.len()
+        run.fixtures.iter().filter(|o| o.caught && o.parity).count(),
+        run.fixtures.len()
     );
 }
 
@@ -2755,8 +1934,303 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: repro [all|table1|fig1|fig2|fig4|fig6|fig7|fig8|theory|headline|bench-json|\
          sanitize|verify-static|serve] [--json DIR] [--measured [SEED]] [--threads N] [--faults [RATE]] \
-         [--check] [--checkpoint DIR] [--resume] [--all] [--full] [--self-test] [--sample K] \
+         [--check] [--checkpoint DIR] [--resume] [--all] [--self-test] [--sample K] \
          [--port PORT] [--cache DIR]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    /// A spread whose median and quartiles are all `x`.
+    fn flat(x: f64) -> Spread {
+        Spread { median: x, q1: x, q3: x }
+    }
+
+    fn sweep(gate: SpeedupGate) -> SweepBench {
+        SweepBench {
+            workload: String::new(),
+            configs: 204,
+            threads: 8,
+            rounds: ROUNDS,
+            serial_secs: 0.2,
+            parallel_secs: 0.1,
+            speedup: flat(2.0),
+            bitwise_identical: true,
+            speedup_gate: gate,
+        }
+    }
+
+    fn emulator_dgemm() -> EmulatorDgemm {
+        EmulatorDgemm {
+            workload: String::new(),
+            blocks: 256,
+            simd_dispatch: "avx512".into(),
+            rounds: ROUNDS,
+            scalar_secs: 0.05,
+            batched_secs: 0.006,
+            pinned_secs: 0.03,
+            monitored_secs: 0.3,
+            sampled_secs: 0.06,
+            sample_k: 8,
+            sampled_blocks: 39,
+            batched_speedup: flat(8.0),
+            simd_speedup: flat(4.0),
+            monitored_overhead: flat(6.0),
+            sampled_overhead: flat(1.2),
+            batched_identical: true,
+            simd_identical: true,
+            monitored_identical: true,
+            findings: 0,
+            findings_identical: true,
+            selftest_caught: 4,
+            selftest_total: 4,
+        }
+    }
+
+    fn host_kernels(gate: SpeedupGate) -> HostKernels {
+        HostKernels {
+            dgemm_shape: String::new(),
+            fft2d_shape: String::new(),
+            simd_dispatch: "avx2".into(),
+            threads: 8,
+            rounds: ROUNDS,
+            dgemm_unpacked_secs: 0.007,
+            dgemm_packed_secs: 0.003,
+            dgemm_mt_secs: 0.001,
+            fft2d_serial_secs: 0.015,
+            fft2d_mt_secs: 0.005,
+            dgemm_speedup: flat(2.2),
+            dgemm_mt_speedup: flat(3.0),
+            fft2d_mt_speedup: flat(3.0),
+            dgemm_results_match: true,
+            dgemm_identical_across_threads: true,
+            fft2d_identical_across_threads: true,
+            speedup_gate: gate,
+        }
+    }
+
+    fn fault_sweep() -> FaultSweep {
+        FaultSweep {
+            workload: String::new(),
+            fault_rate: 0.05,
+            retry_attempts: 3,
+            configs: 102,
+            measured: 101,
+            failed: 1,
+            retried: 17,
+            failures: Vec::new(),
+            identical_across_threads: true,
+            rounds: ROUNDS,
+            plain_secs: 0.05,
+            journaled_secs: 0.052,
+            journal_overhead: flat(1.04),
+            journaled_identical: true,
+            crash_after_records: 51,
+            torn_bytes_injected: 9,
+            torn_bytes_dropped: 9,
+            replayed: 51,
+            recomputed: 51,
+            resumed_identical_across_threads: true,
+        }
+    }
+
+    fn static_verify() -> StaticVerifyBench {
+        StaticVerifyBench {
+            workload: String::new(),
+            probe_launches: 20,
+            lattice_configs: 408,
+            findings: 0,
+            fallbacks: 0,
+            fixtures_flagged: 4,
+            fixtures_parity: 4,
+            fixtures_total: 4,
+            counts_exact: 3,
+            counts_validated: 3,
+            learn_secs: 0.02,
+            sweep_secs: 0.04,
+            static_secs: 0.06,
+            dynamic_secs: 4.0,
+            speedup: 4.0 / 0.06,
+            dynamic_clean: true,
+        }
+    }
+
+    fn serve(gate: SpeedupGate) -> ServeThroughput {
+        ServeThroughput {
+            workload: String::new(),
+            clients: 8,
+            requests: 48,
+            ok: 48,
+            secs: 1.0,
+            requests_per_sec: 48.0,
+            cache_hit_rate: 0.5,
+            hits: 24,
+            misses: 24,
+            hot_bodies_identical: true,
+            cached_equals_fresh: true,
+            hit_equals_cold: true,
+            socket_gate: gate,
+        }
+    }
+
+    /// `section` fails exactly the correctness check naming `identity` on
+    /// every run, and the timing bound naming `bound` too under `--check`.
+    fn assert_fails(section: &dyn Section, identity: &str, bound: &str) {
+        let plain = section.failures(false);
+        assert!(plain.len() == 1 && plain[0].contains(identity), "{plain:?}");
+        let checked = section.failures(true);
+        assert!(
+            checked.len() == 2 && checked[0].contains(identity) && checked[1].contains(bound),
+            "{checked:?}"
+        );
+    }
+
+    #[test]
+    fn rounds_reverse_the_side_order_every_other_round() {
+        let log = RefCell::new(Vec::new());
+        let side = |i: usize| {
+            let log = &log;
+            move || {
+                log.borrow_mut().push(i);
+                1.0
+            }
+        };
+        let mut sides: Vec<_> = (0..3).map(side).collect();
+        let mut sides: Vec<&mut dyn FnMut() -> f64> =
+            sides.iter_mut().map(|s| s as &mut dyn FnMut() -> f64).collect();
+        let rounds = time_rounds(4, &mut sides);
+        assert_eq!(*log.borrow(), [0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0]);
+        assert_eq!(rounds.count(), 4);
+    }
+
+    #[test]
+    fn a_stalled_round_moves_the_median_and_quartiles_by_one_rank_at_most() {
+        // Side 0 takes r seconds in round r (1-based) and side 1 one
+        // second, so the per-round ratios are 1..=21, but round 8 stalls
+        // side 0 a thousandfold. Sorted: 1..=7, 9..=21, 8000, so ranks 5,
+        // 10 and 15 read 6, 12 and 17.
+        let mut calls = 0usize;
+        let mut stalled = || {
+            calls += 1;
+            if calls == 8 {
+                8000.0
+            } else {
+                calls as f64
+            }
+        };
+        let mut base = || 1.0;
+        let rounds = time_rounds(ROUNDS, &mut [&mut stalled, &mut base]);
+        assert_eq!(rounds.count(), ROUNDS);
+        assert_eq!(rounds.ratio(0, 1), Spread { median: 12.0, q1: 6.0, q3: 17.0 });
+        assert_eq!(rounds.ratio(1, 0).median, 1.0 / 12.0);
+        assert_eq!(rounds.median(0), 12.0);
+        assert_eq!(rounds.median(1), 1.0);
+    }
+
+    #[test]
+    fn sweep_fails_identity_always_and_speedup_under_check() {
+        let mut s = sweep(SpeedupGate::enforced(8));
+        s.speedup = flat(1.2);
+        s.bitwise_identical = false;
+        assert_fails(&s, "diverged from the serial", "below 1.5x");
+    }
+
+    #[test]
+    fn emulator_dgemm_fails_identity_always_and_overhead_under_check() {
+        let mut e = emulator_dgemm();
+        e.monitored_overhead = flat(8.65);
+        e.findings_identical = false;
+        assert_fails(&e, "per-access", "exceeds 8x");
+    }
+
+    #[test]
+    fn host_kernels_fail_identity_always_and_speedup_under_check() {
+        let mut h = host_kernels(SpeedupGate::enforced(8));
+        h.dgemm_speedup = flat(1.4);
+        h.fft2d_identical_across_threads = false;
+        assert_fails(&h, "parallel 2-D FFT", "below 1.5x");
+    }
+
+    #[test]
+    fn fault_sweep_fails_identity_always_and_journal_overhead_under_check() {
+        let mut f = fault_sweep();
+        f.journal_overhead = flat(1.101);
+        f.resumed_identical_across_threads = false;
+        assert_fails(&f, "resumed sweep", "1.10x budget");
+    }
+
+    #[test]
+    fn static_verify_fails_counts_always_and_speedup_under_check() {
+        let mut s = static_verify();
+        s.static_secs = 0.5;
+        s.counts_exact = 2;
+        assert_fails(&s, "closed-form", "10x faster");
+    }
+
+    #[test]
+    fn serve_fails_identity_and_hit_rate_on_every_run() {
+        let mut s = serve(SpeedupGate::enforced(2));
+        s.cache_hit_rate = 0.0;
+        s.hit_equals_cold = false;
+        for check in [false, true] {
+            let failures = s.failures(check);
+            assert!(
+                failures.len() == 2
+                    && failures[0].contains("warm cache hit")
+                    && failures[1].contains("hit rate"),
+                "{failures:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn gates_skipped_on_a_small_host_return_no_failure() {
+        let mut s = sweep(SpeedupGate::on_cores(2, "parallel"));
+        s.speedup = flat(0.9);
+        assert!(s.failures(true).is_empty());
+
+        let mut h = host_kernels(SpeedupGate::on_cores(2, "MT-kernel"));
+        h.dgemm_mt_speedup = flat(0.5);
+        h.fft2d_mt_speedup = flat(0.5);
+        assert!(h.failures(true).is_empty());
+        h.speedup_gate = SpeedupGate::on_cores(4, "MT-kernel");
+        assert_eq!(h.failures(true).len(), 2);
+
+        let mut e = emulator_dgemm();
+        e.simd_dispatch = "scalar-sse2".into();
+        e.simd_speedup = flat(1.0);
+        assert!(e.failures(true).is_empty());
+        e.simd_dispatch = "avx2".into();
+        assert_eq!(e.failures(true).len(), 1);
+
+        let mut v = serve(SpeedupGate::skipped(2, "no loopback".into()));
+        v.ok = 0;
+        v.cache_hit_rate = 0.0;
+        v.hot_bodies_identical = false;
+        assert!(v.failures(true).is_empty());
+    }
+
+    #[test]
+    fn the_report_names_the_section_of_each_failure() {
+        let mut report = BenchReport {
+            host_cores: 2,
+            sweep: sweep(SpeedupGate::on_cores(2, "parallel")),
+            emulator_dgemm: emulator_dgemm(),
+            host_kernels: host_kernels(SpeedupGate::on_cores(2, "MT-kernel")),
+            fault_sweep: fault_sweep(),
+            static_verify: static_verify(),
+            serve_throughput: serve(SpeedupGate::enforced(2)),
+        };
+        assert!(report.failures(true).is_empty());
+        report.fault_sweep.torn_bytes_dropped = 0;
+        report.emulator_dgemm.selftest_caught = 3;
+        let failures = report.failures(false);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("emulator_dgemm: 3/4 self-test fixtures"));
+        assert!(failures[1].starts_with("fault_sweep: the crash left 9 torn byte(s)"));
+    }
 }

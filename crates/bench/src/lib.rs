@@ -7,7 +7,8 @@
 //! rows/series the paper's artifact reports, so that
 //!
 //! * the `repro` binary can print them (and dump JSON for EXPERIMENTS.md),
-//! * the Criterion benches can regenerate them under timing,
+//! * the end-to-end benchmark in `benchmark/` can time the measured
+//!   Fig. 7/8 generators,
 //! * the integration tests can assert the paper's qualitative claims.
 //!
 //! | Generator | Paper artifact |

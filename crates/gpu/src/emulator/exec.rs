@@ -468,8 +468,8 @@ impl AccessSink for ScalarProbe {
 /// Pins any sink to the per-thread scalar loop by masking its bulk
 /// capability: `INERT` and `BULK` both stay `false` whatever the wrapped
 /// sink declares, so every access flows through the scalar hooks one by
-/// one. The "before" side of the batched-monitored benchmark and the
-/// oracle for monitored batch equivalence.
+/// one. The oracle for monitored batch equivalence, in tests and in
+/// `bench-json`'s findings-identity check.
 #[derive(Debug, Default)]
 #[must_use]
 pub struct ForceScalar<S>(pub S);

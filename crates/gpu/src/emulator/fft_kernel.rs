@@ -865,19 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_engine_equals_legacy_engine() {
-        for &(n, rows) in &[(8usize, 2usize), (16, 3)] {
-            let host = signal(rows, n, 13);
-            let d1 = GlobalMem::from_slice(&host);
-            let new_ev = EmuRowFft::new(n, rows).run(&d1);
-            let d2 = GlobalMem::from_slice(&host);
-            let old_ev = EmuRowFft::new(n, rows).run_legacy(&d2);
-            assert_eq!(d1.to_vec(), d2.to_vec(), "n={n} rows={rows}");
-            assert_eq!(new_ev, old_ev, "n={n} rows={rows}");
-        }
-    }
-
-    #[test]
     fn agrees_with_host_fft_library() {
         // Cross-validate against the real host FFT from enprop-kernels.
         let n = 64;

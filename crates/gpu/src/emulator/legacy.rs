@@ -83,9 +83,8 @@ impl ThreadCtx<'_> {
 }
 
 /// Block-concurrency width of the legacy engine (the old `WAVE_WIDTH`).
-/// Kept small and fixed: this engine only runs in equivalence tests and
-/// the old-vs-new benchmark, where a stable denominator matters more than
-/// throughput.
+/// Kept small and fixed: this engine only runs in equivalence tests,
+/// where its throughput does not matter.
 const LEGACY_WAVE: usize = 4;
 
 /// Launches a closure kernel over `grid` blocks of `block` threads each,

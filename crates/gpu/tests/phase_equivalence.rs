@@ -96,7 +96,15 @@ fn dgemm_reference_sweep(n: usize) {
 fn dgemm_phase_engine_equals_legacy_engine_bitwise() {
     // Same inputs through both engines: memory contents and event counts
     // must agree bitwise, including compound workloads (G, R > 1).
-    for &(n, bs, g, r) in &[(16usize, 4usize, 1usize, 1usize), (16, 8, 2, 1), (8, 2, 2, 2)] {
+    // (32, 16, 1, 1) is a 2 × 2 grid of 256-thread blocks.
+    for &(n, bs, g, r) in &[
+        (16usize, 4usize, 1usize, 1usize),
+        (16, 8, 2, 1),
+        (8, 2, 2, 2),
+        (8, 4, 1, 1),
+        (12, 3, 1, 2),
+        (32, 16, 1, 1),
+    ] {
         let av = filled(n * n, 31);
         let bv = filled(n * n, 32);
         let cv = filled(n * n, 33);
@@ -140,16 +148,17 @@ fn fft_phase_engine_matches_host_fft_library() {
 
 #[test]
 fn fft_phase_engine_equals_legacy_engine_bitwise() {
-    let (n, rows) = (32usize, 3usize);
-    let host = filled(2 * rows * n, 51);
-    let d1 = GlobalMem::from_slice(&host);
-    let phase_ev = EmuRowFft::new(n, rows).run(&d1);
-    let d2 = GlobalMem::from_slice(&host);
-    let legacy_ev = EmuRowFft::new(n, rows).run_legacy(&d2);
+    for &(n, rows) in &[(32usize, 3usize), (8, 2), (16, 3)] {
+        let host = filled(2 * rows * n, 51);
+        let d1 = GlobalMem::from_slice(&host);
+        let phase_ev = EmuRowFft::new(n, rows).run(&d1);
+        let d2 = GlobalMem::from_slice(&host);
+        let legacy_ev = EmuRowFft::new(n, rows).run_legacy(&d2);
 
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&d1), bits(&d2), "FFT memory diverged between engines");
-    assert_eq!(phase_ev, legacy_ev, "FFT event counts diverged between engines");
+        let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&d1), bits(&d2), "n={n} rows={rows}: FFT memory diverged");
+        assert_eq!(phase_ev, legacy_ev, "n={n} rows={rows}: FFT event counts diverged");
+    }
 }
 
 #[test]
