@@ -174,9 +174,13 @@ pub trait AccessSink {
     ///
     /// Records arrive in scalar program order per thread, threads in
     /// row-major order — the same per-cell access order the scalar loop
-    /// would have reported. The default implementation replays each
-    /// record through the scalar hooks (veto answers are ignored; see
-    /// [`AccessSink::BULK`]).
+    /// would have reported. Each call carries one **whole** phase: no
+    /// other shared access of that block and phase reaches the sink,
+    /// before or after, so a sink may conclude from the batch alone that
+    /// a phase without stores, or with one accessing thread, has no
+    /// shared race. The default
+    /// implementation replays each record through the scalar hooks (veto
+    /// answers are ignored; see [`AccessSink::BULK`]).
     fn observe_shared_batch(
         &mut self,
         bx: usize,
@@ -199,8 +203,10 @@ pub trait AccessSink {
     /// grouped into per-buffer runs (each run names the allocation and
     /// its length). Within a run, records are in scalar program order
     /// per thread, threads in row-major order; per-buffer shadow state
-    /// is independent, so regrouping by buffer is unobservable. The
-    /// default implementation replays through the scalar hooks.
+    /// is independent, so regrouping by buffer is unobservable. As with
+    /// [`observe_shared_batch`](AccessSink::observe_shared_batch), each
+    /// call carries one whole phase. The default implementation replays
+    /// through the scalar hooks.
     fn observe_global_batch(&mut self, bx: usize, by: usize, phase: usize, batch: &GlobalBatch) {
         for run in batch.runs() {
             for a in run.accesses() {
@@ -254,9 +260,14 @@ fn decode_access(word: u64) -> BatchAccess {
 /// access per 64-bit word (see [`BatchAccess`] for the decoded view).
 /// Batched phase bodies append records in scalar program order per
 /// thread, threads row-major — the order the scalar loop reports.
+///
+/// The batch also counts its stores as they are pushed, so a sink tells a
+/// store-free phase in O(1). Records are only pushed under a bulk sink, so
+/// the uninstrumented path never pays for the count.
 #[derive(Debug, Default)]
 pub struct SharedBatch {
     words: Vec<u64>,
+    stores: usize,
 }
 
 impl SharedBatch {
@@ -270,11 +281,42 @@ impl SharedBatch {
     #[inline(always)]
     pub fn push_store(&mut self, tx: usize, ty: usize, idx: usize) {
         self.words.push(encode_access(tx, ty, idx, true));
+        self.stores += 1;
     }
 
     /// Number of recorded accesses.
     pub fn len(&self) -> usize {
         self.words.len()
+    }
+
+    /// Number of recorded stores.
+    #[inline]
+    pub fn stores(&self) -> usize {
+        self.stores
+    }
+
+    /// One past the largest recorded cell index (`0` when empty): every
+    /// record is in bounds of an allocation at least this long.
+    ///
+    /// A branch-free scan with independent lanes, which compiles to vector
+    /// code. Keeping a running maximum in `push_*` instead chains every
+    /// push through memory, which costs more than this scan.
+    #[inline]
+    pub fn index_end(&self) -> usize {
+        if self.words.is_empty() {
+            return 0;
+        }
+        // The index sits in bits 1..32 of a record word.
+        let index = |w: u64| (w as u32) >> 1;
+        let mut lanes = [0u32; 8];
+        let mut chunks = self.words.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (lane, &w) in lanes.iter_mut().zip(chunk) {
+                *lane = (*lane).max(index(w));
+            }
+        }
+        let tail = chunks.remainder().iter().map(|&w| index(w));
+        lanes.into_iter().chain(tail).max().map_or(0, |max| max as usize + 1)
     }
 
     /// True when no access was recorded.
@@ -285,6 +327,7 @@ impl SharedBatch {
     /// Drops all records, keeping the allocation for the next phase.
     pub fn clear(&mut self) {
         self.words.clear();
+        self.stores = 0;
     }
 
     /// Pre-sizes the record buffer for a phase of `n` accesses.
@@ -303,13 +346,15 @@ impl SharedBatch {
 /// [`begin_run`](GlobalBatch::begin_run) and appends that buffer's
 /// records; per-buffer shadow state is independent, so emitting one
 /// buffer's accesses before another's is unobservable to the checkers
-/// even where the scalar loop interleaved them.
+/// even where the scalar loop interleaved them. Like [`SharedBatch`], it
+/// counts its stores as they are pushed.
 #[derive(Debug, Default)]
 pub struct GlobalBatch {
     /// `(buffer, allocation length, starting word offset)` per run; a
     /// run's records end where the next run starts (or at `words.len()`).
     runs: Vec<(BufId, usize, usize)>,
     words: Vec<u64>,
+    stores: usize,
 }
 
 /// One per-buffer run of records inside a [`GlobalBatch`].
@@ -349,11 +394,18 @@ impl GlobalBatch {
     pub fn push_store(&mut self, tx: usize, ty: usize, idx: usize) {
         debug_assert!(!self.runs.is_empty(), "global batch record before begin_run");
         self.words.push(encode_access(tx, ty, idx, true));
+        self.stores += 1;
     }
 
     /// Number of recorded accesses across all runs.
     pub fn len(&self) -> usize {
         self.words.len()
+    }
+
+    /// Number of recorded stores across all runs.
+    #[inline]
+    pub fn stores(&self) -> usize {
+        self.stores
     }
 
     /// True when no access was recorded.
@@ -365,6 +417,7 @@ impl GlobalBatch {
     pub fn clear(&mut self) {
         self.runs.clear();
         self.words.clear();
+        self.stores = 0;
     }
 
     /// Pre-sizes the record buffer for a phase of `n` accesses.
@@ -878,6 +931,9 @@ fn exec_block<K: BlockKernel, S: AccessSink>(
             };
             if let Some(outcome) = batched {
                 if S::BULK {
+                    // Each batch holds every access of the phase to its
+                    // memory, and this is the phase's only call: sinks
+                    // rely on both (see `AccessSink::observe_shared_batch`).
                     let t = trace.as_ref().expect("bulk sinks always carry a trace");
                     if !t.shared.is_empty() {
                         sink.observe_shared_batch(bx, by, phase, shared.len(), &t.shared);
@@ -1433,6 +1489,23 @@ mod tests {
     }
 
     #[test]
+    fn shared_batch_counts_stores_and_bounds_its_indices() {
+        let mut batch = SharedBatch::default();
+        assert_eq!((batch.stores(), batch.index_end()), (0, 0));
+        // More than one 8-word chunk, the largest index in the tail.
+        for i in 0..9 {
+            batch.push_load(i, 0, 3 * i);
+        }
+        batch.push_store(1, 2, 40);
+        batch.push_load(0, 0, 7);
+        assert_eq!((batch.len(), batch.stores(), batch.index_end()), (11, 1, 41));
+        batch.push_store(65535, 65535, (1 << 31) - 1);
+        assert_eq!((batch.stores(), batch.index_end()), (2, 1 << 31));
+        batch.clear();
+        assert_eq!((batch.stores(), batch.index_end()), (0, 0));
+    }
+
+    #[test]
     fn global_batch_groups_records_into_runs() {
         let mut batch = GlobalBatch::default();
         let (a, b) = (GlobalMem::zeroed(4), GlobalMem::zeroed(8));
@@ -1441,6 +1514,7 @@ mod tests {
         batch.push_store(1, 0, 2);
         batch.begin_run(b.id(), b.len());
         batch.push_load(2, 0, 7);
+        assert_eq!(batch.stores(), 1);
         let runs: Vec<_> = batch.runs().collect();
         assert_eq!(runs.len(), 2);
         assert_eq!((runs[0].buf, runs[0].len), (a.id(), 4));
@@ -1451,7 +1525,7 @@ mod tests {
         assert_eq!(batch.len(), 3);
         batch.clear();
         assert!(batch.is_empty());
-        assert_eq!(batch.runs().count(), 0);
+        assert_eq!((batch.runs().count(), batch.stores()), (0, 0));
     }
 
     /// `NeighbourRead` with a traced batched body, for bulk-sink tests.

@@ -22,10 +22,43 @@
 //! when the block retires. A read that races with a later same-phase
 //! write is racecheck's finding, not memcheck's — the deferral is what
 //! keeps each seeded fixture attributable to exactly one checker.
+//!
+//! # Packed shadows
+//!
+//! Accesses are grouped into *runs*: consecutive accesses of one thread in
+//! one phase. Run ids come from one launch-wide counter, and the monitor
+//! keeps the full `(tx, ty)` of each run of the current phase. A cell
+//! records its first writer and first reader as run ids, so it needs no
+//! phase stamp: an id below the current phase's first id belongs to an
+//! earlier phase or block and reads as absent — the barrier's reset,
+//! done lazily. Compared with the block's first id instead, the same two
+//! ids say whether the block has written or read the cell yet, which is
+//! all memcheck's uninitialized-read rule needs. A shared cell takes 16
+//! bytes and a global cell 32 (block ordinals replace block coordinates,
+//! which are kept once per block); thread and block coordinates stay at
+//! full width, so every block and grid shape is covered.
+//!
+//! The encoding relies on the order the monitored interpreter delivers:
+//! one block at a time, opened by [`LaunchMonitor::begin_block`], its
+//! phases in ascending order.
+//!
+//! # Race-free phases
+//!
+//! A phase with no store to a memory, or whose accesses to it all come
+//! from one thread, cannot race on it within the block; and every intra-
+//! block shadow resets at the next phase, so skipping such a phase's race
+//! steps changes no finding. A bulk batch carries one whole phase (see
+//! [`AccessSink::observe_shared_batch`]), so the monitor tells such a
+//! phase from the batch alone: its store count for either memory, a scan
+//! for a second thread for shared memory. It still reports out-of-bounds
+//! records, keeps the inter-block history, and marks written cells and
+//! collects uninitialized-read candidates while some shared cell of the
+//! block is unwritten — once every cell is written, a race-free shared
+//! batch is passed over.
 
 use crate::report::{AccessKind, Finding, MemSpace};
 use enprop_gpusim::emulator::{
-    AccessPoint, AccessSink, BlockExit, BufId, GlobalBatch, SharedBatch,
+    AccessPoint, AccessSink, BatchAccess, BlockExit, BufId, GlobalBatch, SharedBatch,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -67,104 +100,198 @@ impl BufferTable {
     }
 }
 
-/// Per-cell, per-phase access summary: the first writer and first reader
-/// thread, plus a once-per-phase flag so a hazardous cell reports once.
-#[derive(Debug, Clone, Copy)]
+/// Set in a shadow word once the cell's hazard was reported, so a
+/// hazardous cell reports once: in a writer run id for the current
+/// phase, in a global cell's first-writing-block ordinal for the launch.
+/// Run ids and block ordinals count up by one per run or block from 1;
+/// reaching this bit would take 2^63 of them.
+const FLAGGED: u64 = 1 << 63;
+
+/// No thread: `threadIdx.x < blockDim.x ≤ usize::MAX`, so no access
+/// carries this coordinate.
+const NO_THREAD: (usize, usize) = (usize::MAX, usize::MAX);
+
+fn kind(store: bool) -> AccessKind {
+    if store {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    }
+}
+
+/// One cell's first writer (with [`FLAGGED`]) and first reader in the
+/// current phase, as run ids; `0` or any id below the phase's first run
+/// id means none.
+#[derive(Debug, Clone, Copy, Default)]
 struct CellShadow {
-    phase: usize,
-    writer: Option<(usize, usize)>,
-    reader: Option<(usize, usize)>,
-    flagged: bool,
+    writer: u64,
+    reader: u64,
 }
 
 impl CellShadow {
-    const FRESH: CellShadow =
-        CellShadow { phase: usize::MAX, writer: None, reader: None, flagged: false };
-}
-
-impl Default for CellShadow {
-    fn default() -> Self {
-        Self::FRESH
+    /// The writer's run id without the flag.
+    fn writer(self) -> u64 {
+        self.writer & !FLAGGED
     }
 }
 
-/// The earlier access an intra-block race conflicts with.
-struct RaceHit {
+/// Launch-wide inter-block history of one global cell: the ordinals of
+/// the first writing block (with [`FLAGGED`]) and of the first reading
+/// block, `0` for none. Beside its [`CellShadow`], a global cell takes 32
+/// bytes.
+///
+/// One reading block is enough: blocks run one at a time, so when block
+/// `B` writes, the first reading block is either an earlier block (the
+/// hazard) or `B` itself, and then no other block has read the cell yet.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockHistory {
+    wrote: u64,
+    read: u64,
+}
+
+impl BlockHistory {
+    /// Records an access by block `block`, returning the earlier block's
+    /// access it conflicts with: another block's write, or — for a write —
+    /// another block's read. Once a cell reported, it stays quiet.
+    #[inline(always)]
+    fn step(&mut self, block: u64, write: bool) -> Option<(u64, AccessKind)> {
+        let mut hit = None;
+        if self.wrote & FLAGGED == 0 {
+            hit = if self.wrote != 0 && self.wrote != block {
+                Some((self.wrote, AccessKind::Write))
+            } else if write && self.read != 0 && self.read != block {
+                Some((self.read, AccessKind::Read))
+            } else {
+                None
+            };
+            if hit.is_some() {
+                self.wrote |= FLAGGED;
+            }
+        }
+        if write {
+            if self.wrote & !FLAGGED == 0 {
+                self.wrote |= block;
+            }
+        } else if self.read == 0 {
+            self.read = block;
+        }
+        hit
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<CellShadow>() == 16);
+const _: () = assert!(std::mem::size_of::<BlockHistory>() == 16);
+
+/// The runs of the current phase of the block in progress.
+#[derive(Debug)]
+struct Runs {
+    /// The phase being monitored; `None` until the block's first access.
+    phase: Option<usize>,
+    /// The phase's first run id: smaller ids are stale.
+    base: u64,
+    /// The next run id to hand out; ids start at 1, so `0` is none.
+    next: u64,
+    /// The current run's thread and id.
     thread: (usize, usize),
-    kind: AccessKind,
+    id: u64,
+    /// The thread of each run of the phase, at `id - base`.
+    threads: Vec<(usize, usize)>,
 }
 
-/// Advances a cell's shadow by one access, reporting a hazard if this
-/// access conflicts with a different thread's same-phase access. The
-/// shadow resets itself when the phase changes — the barrier boundary is
-/// the happens-before edge.
-fn race_step(sh: &mut CellShadow, at: AccessPoint, kind: AccessKind) -> Option<RaceHit> {
-    if sh.phase != at.phase {
-        *sh = CellShadow::FRESH;
-        sh.phase = at.phase;
+impl Runs {
+    /// Starts phase `phase`: every recorded id becomes stale.
+    fn open(&mut self, phase: usize) {
+        self.phase = Some(phase);
+        self.base = self.next;
+        self.thread = NO_THREAD;
+        self.threads.clear();
     }
-    let me = at.thread();
-    let write = kind == AccessKind::Write;
-    let hit = if sh.flagged {
+
+    /// The run id of an access by thread `(tx, ty)`: the current run's,
+    /// or a new run's when the thread changed.
+    #[inline(always)]
+    fn switch_to(&mut self, tx: usize, ty: usize) -> u64 {
+        if self.thread != (tx, ty) {
+            self.thread = (tx, ty);
+            self.id = self.next;
+            self.next += 1;
+            self.threads.push((tx, ty));
+        }
+        self.id
+    }
+
+    /// The thread of run `id` of the current phase.
+    fn thread_of(&self, id: u64) -> (usize, usize) {
+        self.threads[(id - self.base) as usize]
+    }
+
+    /// Whether run `id` of the current phase is the current run's thread.
+    #[inline]
+    fn same_thread(&self, id: u64) -> bool {
+        id == self.id || self.thread_of(id) == self.thread
+    }
+}
+
+/// Whether one thread makes every access of a phase's `records`: with
+/// no other thread, nothing in the phase can race within the block.
+fn one_thread(mut records: impl Iterator<Item = BatchAccess>) -> bool {
+    let Some(first) = records.next() else { return true };
+    records.all(|a| (a.tx, a.ty) == (first.tx, first.ty))
+}
+
+/// Advances a cell's shadow by the current run's access, returning the
+/// earlier access it conflicts with: a different thread's same-phase
+/// write, or — for a write — a different thread's same-phase read. Once a
+/// cell reported, it stays quiet for the rest of the phase.
+#[inline(always)]
+fn race_step(sh: &mut CellShadow, runs: &Runs, write: bool) -> Option<(u64, AccessKind)> {
+    let writer = sh.writer();
+    let has_writer = writer >= runs.base;
+    let has_reader = sh.reader >= runs.base;
+    let hit = if has_writer && sh.writer & FLAGGED != 0 {
         None
-    } else if write {
-        match (sh.writer, sh.reader) {
-            (Some(w), _) if w != me => Some(RaceHit { thread: w, kind: AccessKind::Write }),
-            (_, Some(r)) if r != me => Some(RaceHit { thread: r, kind: AccessKind::Read }),
-            _ => None,
-        }
+    } else if has_writer && !runs.same_thread(writer) {
+        Some((writer, AccessKind::Write))
+    } else if write && has_reader && !runs.same_thread(sh.reader) {
+        Some((sh.reader, AccessKind::Read))
     } else {
-        match sh.writer {
-            Some(w) if w != me => Some(RaceHit { thread: w, kind: AccessKind::Write }),
-            _ => None,
-        }
+        None
     };
     if write {
-        if sh.writer.is_none() {
-            sh.writer = Some(me);
+        if !has_writer {
+            sh.writer = runs.id;
         }
-    } else if sh.reader.is_none() {
-        sh.reader = Some(me);
+    } else if !has_reader {
+        sh.reader = runs.id;
     }
     if hit.is_some() {
-        sh.flagged = true;
+        // A hit leaves a current writer (the earlier one, or this access)
+        // to carry the flag.
+        sh.writer |= FLAGGED;
     }
     hit
-}
-
-/// Encodes a block coordinate as a nonzero token (`0` = "no block yet").
-fn enc(bx: usize, by: usize) -> u64 {
-    (((by as u64) << 32) | bx as u64) + 1
-}
-
-/// Inverse of [`enc`].
-fn dec(token: u64) -> (usize, usize) {
-    let e = token - 1;
-    ((e & 0xFFFF_FFFF) as usize, (e >> 32) as usize)
-}
-
-/// Shadow of one global cell: an intra-block [`CellShadow`] scoped to the
-/// block currently touching it, plus launch-wide inter-block history (the
-/// first writing block and up to two distinct reading blocks — enough to
-/// witness any block-vs-block conflict).
-#[derive(Debug, Clone, Copy, Default)]
-struct GCell {
-    block: u64,
-    intra: CellShadow,
-    wrote: u64,
-    read1: u64,
-    read2: u64,
-    inter_flagged: bool,
 }
 
 /// All shadow state for one launch.
 struct MonitorState {
     table: BufferTable,
     shared: Vec<CellShadow>,
-    shared_written: Vec<bool>,
-    uninit_seen: Vec<bool>,
+    /// Per registered buffer, each cell's intra-block shadow and its
+    /// inter-block history, kept apart so a race-free phase, which needs
+    /// only the history, touches half the bytes.
+    global: Vec<Vec<CellShadow>>,
+    history: Vec<Vec<BlockHistory>>,
+    runs: Runs,
+    /// Coordinates of each block that accessed memory, at ordinal − 1.
+    blocks: Vec<(usize, usize)>,
+    /// Ordinal of the block in progress; `0` until its first access.
+    block: u64,
+    /// The block's first run id: a shared cell whose writer (reader) id is
+    /// smaller has not been written (read) by the block.
+    block_base: u64,
+    /// Shared cells the block has not written yet.
+    unwritten: usize,
     uninit: Vec<(usize, AccessPoint)>,
-    global: Vec<Vec<GCell>>,
     findings: Vec<Finding>,
     suppressed: usize,
     cap: usize,
@@ -179,74 +306,156 @@ impl MonitorState {
         }
     }
 
-    fn global_access(&mut self, ordinal: usize, idx: usize, at: AccessPoint, kind: AccessKind) {
-        let token = enc(at.bx, at.by);
-        let write = kind == AccessKind::Write;
-        let cell = &mut self.global[ordinal][idx];
-        if cell.block != token {
-            cell.block = token;
-            cell.intra = CellShadow::FRESH;
+    /// Enters phase `phase` of block `(bx, by)` ahead of its accesses.
+    #[inline]
+    fn enter(&mut self, bx: usize, by: usize, phase: usize) {
+        if self.runs.phase != Some(phase) {
+            self.open(bx, by, phase);
         }
-        let intra = race_step(&mut cell.intra, at, kind);
-        let mut inter = None;
-        if !cell.inter_flagged {
-            let conflict = if write {
-                if cell.wrote != 0 && cell.wrote != token {
-                    Some((dec(cell.wrote), AccessKind::Write))
-                } else if cell.read1 != 0 && cell.read1 != token {
-                    Some((dec(cell.read1), AccessKind::Read))
-                } else if cell.read2 != 0 && cell.read2 != token {
-                    Some((dec(cell.read2), AccessKind::Read))
-                } else {
-                    None
-                }
-            } else if cell.wrote != 0 && cell.wrote != token {
-                Some((dec(cell.wrote), AccessKind::Write))
-            } else {
-                None
-            };
-            if conflict.is_some() {
-                cell.inter_flagged = true;
-                inter = conflict;
-            }
-        }
-        if write {
-            if cell.wrote == 0 {
-                cell.wrote = token;
-            }
-        } else if cell.read1 == 0 {
-            cell.read1 = token;
-        } else if cell.read1 != token && cell.read2 == 0 {
-            cell.read2 = token;
-        }
+    }
 
-        if intra.is_none() && inter.is_none() {
-            return;
+    /// Opens a phase, and the block with its first one.
+    #[inline(never)]
+    fn open(&mut self, bx: usize, by: usize, phase: usize) {
+        if self.block == 0 {
+            self.blocks.push((bx, by));
+            self.block = self.blocks.len() as u64;
         }
-        // Only a reporting access pays for the owned buffer name — the
-        // clean-access fast path stays allocation-free.
+        self.runs.open(phase);
+    }
+
+    /// Reports an out-of-bounds access; a global one names its buffer
+    /// when registered.
+    #[cold]
+    #[inline(never)]
+    fn report_oob(
+        &mut self,
+        space: MemSpace,
+        ordinal: Option<usize>,
+        at: AccessPoint,
+        store: bool,
+        idx: usize,
+        len: usize,
+    ) {
+        let name = ordinal.map(|o| self.table.name(o).to_owned());
+        self.push(Finding::oob(space, name.as_deref(), at, kind(store), idx, len));
+    }
+
+    /// Full attribution of an access by `(tx, ty)` in the current phase —
+    /// built only for an access that reports.
+    fn point(&self, tx: usize, ty: usize) -> AccessPoint {
+        let (bx, by) = self.blocks[self.block as usize - 1];
+        let phase = self.runs.phase.expect("an access enters its phase first");
+        AccessPoint { bx, by, tx, ty, phase }
+    }
+
+    /// An in-bounds shared access by `(tx, ty)` in the current phase. In
+    /// a race-free phase (`races` false, see the module docs) only the
+    /// block's first write and first read of the cell are marked.
+    #[inline(always)]
+    fn shared_access(&mut self, idx: usize, tx: usize, ty: usize, write: bool, races: bool) {
+        let id = self.runs.switch_to(tx, ty);
+        let cell = self.shared[idx];
+        let unwritten = cell.writer() < self.block_base;
+        let unread = cell.reader < self.block_base;
+        if unwritten && write {
+            self.unwritten -= 1;
+        } else if unwritten && unread {
+            self.note_uninit(idx, tx, ty);
+        }
+        if races {
+            if let Some(hit) = race_step(&mut self.shared[idx], &self.runs, write) {
+                self.report_race(MemSpace::Shared, None, idx, (tx, ty), write, hit);
+            }
+        } else if unwritten && write {
+            self.shared[idx].writer = id;
+        } else if unwritten && unread {
+            self.shared[idx].reader = id;
+        }
+    }
+
+    /// The block's first read of shared cell `idx`, not written yet: a
+    /// candidate finding until the block retires.
+    #[cold]
+    #[inline(never)]
+    fn note_uninit(&mut self, idx: usize, tx: usize, ty: usize) {
+        let at = self.point(tx, ty);
+        self.uninit.push((idx, at));
+    }
+
+    /// An in-bounds access to registered global buffer `ordinal` by
+    /// `(tx, ty)` in the current phase. `races` is false in a race-free
+    /// phase: only the inter-block history is kept then.
+    #[inline(always)]
+    fn global_access(
+        &mut self,
+        ordinal: usize,
+        idx: usize,
+        tx: usize,
+        ty: usize,
+        write: bool,
+        races: bool,
+    ) {
+        if races {
+            self.runs.switch_to(tx, ty);
+            if let Some(hit) = race_step(&mut self.global[ordinal][idx], &self.runs, write) {
+                self.report_race(MemSpace::Global, Some(ordinal), idx, (tx, ty), write, hit);
+            }
+        }
+        if let Some(hit) = self.history[ordinal][idx].step(self.block, write) {
+            self.report_inter_block(ordinal, idx, write, hit);
+        }
+    }
+
+    /// Reports an intra-block race of the access by `(tx, ty)` with the
+    /// earlier access `first`.
+    #[cold]
+    #[inline(never)]
+    fn report_race(
+        &mut self,
+        space: MemSpace,
+        ordinal: Option<usize>,
+        idx: usize,
+        (tx, ty): (usize, usize),
+        write: bool,
+        (first, first_kind): (u64, AccessKind),
+    ) {
+        let name = ordinal.map(|o| self.table.name(o).to_owned());
+        let at = self.point(tx, ty);
+        let first_thread = self.runs.thread_of(first);
+        self.push(Finding::race(
+            space,
+            name.as_deref(),
+            idx,
+            at,
+            kind(write),
+            first_thread,
+            first_kind,
+        ));
+    }
+
+    /// Reports an inter-block race of the block in progress with the
+    /// earlier block `first`.
+    #[cold]
+    #[inline(never)]
+    fn report_inter_block(
+        &mut self,
+        ordinal: usize,
+        idx: usize,
+        write: bool,
+        (first, first_kind): (u64, AccessKind),
+    ) {
         let name = self.table.name(ordinal).to_owned();
-        if let Some(hit) = intra {
-            self.push(Finding::race(
-                MemSpace::Global,
-                Some(&name),
-                idx,
-                at,
-                kind,
-                hit.thread,
-                hit.kind,
-            ));
-        }
-        if let Some((first_block, first_kind)) = inter {
-            self.push(Finding::inter_block_race(
-                Some(&name),
-                idx,
-                at.block(),
-                kind,
-                first_block,
-                first_kind,
-            ));
-        }
+        let block = self.blocks[self.block as usize - 1];
+        let first_block = self.blocks[first as usize - 1];
+        self.push(Finding::inter_block_race(
+            Some(&name),
+            idx,
+            block,
+            kind(write),
+            first_block,
+            first_kind,
+        ));
     }
 }
 
@@ -279,15 +488,27 @@ impl LaunchMonitor {
 
     /// [`LaunchMonitor::new`] with an explicit reporting cap.
     pub fn with_cap(table: BufferTable, shared_len: usize, cap: usize) -> Self {
-        let global = table.entries.iter().map(|e| vec![GCell::default(); e.len]).collect();
+        let global = table.entries.iter().map(|e| vec![CellShadow::default(); e.len]).collect();
+        let history = table.entries.iter().map(|e| vec![BlockHistory::default(); e.len]).collect();
         LaunchMonitor {
             state: Rc::new(RefCell::new(MonitorState {
                 table,
-                shared: vec![CellShadow::FRESH; shared_len],
-                shared_written: vec![false; shared_len],
-                uninit_seen: vec![false; shared_len],
-                uninit: Vec::new(),
+                shared: vec![CellShadow::default(); shared_len],
                 global,
+                history,
+                runs: Runs {
+                    phase: None,
+                    base: 1,
+                    next: 1,
+                    thread: NO_THREAD,
+                    id: 0,
+                    threads: Vec::new(),
+                },
+                blocks: Vec::new(),
+                block: 0,
+                block_base: 1,
+                unwritten: shared_len,
+                uninit: Vec::new(),
                 findings: Vec::new(),
                 suppressed: 0,
                 cap,
@@ -300,14 +521,16 @@ impl LaunchMonitor {
         MonitorSink { state: Rc::clone(&self.state) }
     }
 
-    /// Resets the per-block shadows (shared memory, written bits,
-    /// uninitialized-read candidates). Global shadows persist — they are
+    /// Starts the next block: from here on every shared cell reads as
+    /// unwritten and unread, and the uninitialized-read candidates are
+    /// dropped. No shadow is touched. Global shadows persist — they are
     /// launch-wide by design.
     pub fn begin_block(&self) {
         let mut st = self.state.borrow_mut();
-        st.shared.fill(CellShadow::FRESH);
-        st.shared_written.fill(false);
-        st.uninit_seen.fill(false);
+        st.runs.phase = None;
+        st.block = 0;
+        st.block_base = st.runs.next;
+        st.unwritten = st.shared.len();
         st.uninit.clear();
     }
 
@@ -319,7 +542,7 @@ impl LaunchMonitor {
         let st = &mut *guard;
         let candidates = std::mem::take(&mut st.uninit);
         for (cell, at) in candidates {
-            if !st.shared_written[cell] {
+            if st.shared[cell].writer() < st.block_base {
                 st.push(Finding::uninit_read(cell, at));
             }
         }
@@ -347,6 +570,37 @@ pub struct MonitorSink {
     state: Rc<RefCell<MonitorState>>,
 }
 
+impl MonitorSink {
+    /// The scalar shared hook: reports and vetoes an out-of-bounds access,
+    /// checks an in-bounds one.
+    fn shared(&mut self, at: AccessPoint, idx: usize, len: usize, write: bool) -> bool {
+        let mut st = self.state.borrow_mut();
+        if idx >= len {
+            st.report_oob(MemSpace::Shared, None, at, write, idx, len);
+            return false;
+        }
+        st.enter(at.bx, at.by, at.phase);
+        st.shared_access(idx, at.tx, at.ty, write, true);
+        true
+    }
+
+    /// The scalar global hook; accesses to unregistered buffers are only
+    /// bounds-checked.
+    fn global(&mut self, at: AccessPoint, buf: BufId, idx: usize, len: usize, write: bool) -> bool {
+        let mut st = self.state.borrow_mut();
+        let ordinal = st.table.ordinal(buf);
+        if idx >= len {
+            st.report_oob(MemSpace::Global, ordinal, at, write, idx, len);
+            return false;
+        }
+        if let Some(o) = ordinal {
+            st.enter(at.bx, at.by, at.phase);
+            st.global_access(o, idx, at.tx, at.ty, write, true);
+        }
+        true
+    }
+}
+
 impl AccessSink for MonitorSink {
     /// The monitor consumes per-phase bulk records, so kernels with
     /// batched phase bodies run monitored on the batched interpreter —
@@ -354,102 +608,30 @@ impl AccessSink for MonitorSink {
     const BULK: bool = true;
 
     fn shared_load(&mut self, at: AccessPoint, idx: usize, len: usize) -> bool {
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        if idx >= len {
-            st.push(Finding::oob(MemSpace::Shared, None, at, AccessKind::Read, idx, len));
-            return false;
-        }
-        if !st.shared_written[idx] && !st.uninit_seen[idx] {
-            st.uninit_seen[idx] = true;
-            st.uninit.push((idx, at));
-        }
-        if let Some(hit) = race_step(&mut st.shared[idx], at, AccessKind::Read) {
-            st.push(Finding::race(
-                MemSpace::Shared,
-                None,
-                idx,
-                at,
-                AccessKind::Read,
-                hit.thread,
-                hit.kind,
-            ));
-        }
-        true
+        self.shared(at, idx, len, false)
     }
 
     fn shared_store(&mut self, at: AccessPoint, idx: usize, len: usize) -> bool {
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        if idx >= len {
-            st.push(Finding::oob(MemSpace::Shared, None, at, AccessKind::Write, idx, len));
-            return false;
-        }
-        st.shared_written[idx] = true;
-        if let Some(hit) = race_step(&mut st.shared[idx], at, AccessKind::Write) {
-            st.push(Finding::race(
-                MemSpace::Shared,
-                None,
-                idx,
-                at,
-                AccessKind::Write,
-                hit.thread,
-                hit.kind,
-            ));
-        }
-        true
+        self.shared(at, idx, len, true)
     }
 
     fn global_load(&mut self, at: AccessPoint, buf: BufId, idx: usize, len: usize) -> bool {
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        let ordinal = st.table.ordinal(buf);
-        if idx >= len {
-            let name = ordinal.map(|o| st.table.name(o).to_owned());
-            st.push(Finding::oob(
-                MemSpace::Global,
-                name.as_deref(),
-                at,
-                AccessKind::Read,
-                idx,
-                len,
-            ));
-            return false;
-        }
-        if let Some(o) = ordinal {
-            st.global_access(o, idx, at, AccessKind::Read);
-        }
-        true
+        self.global(at, buf, idx, len, false)
     }
 
     fn global_store(&mut self, at: AccessPoint, buf: BufId, idx: usize, len: usize) -> bool {
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        let ordinal = st.table.ordinal(buf);
-        if idx >= len {
-            let name = ordinal.map(|o| st.table.name(o).to_owned());
-            st.push(Finding::oob(
-                MemSpace::Global,
-                name.as_deref(),
-                at,
-                AccessKind::Write,
-                idx,
-                len,
-            ));
-            return false;
-        }
-        if let Some(o) = ordinal {
-            st.global_access(o, idx, at, AccessKind::Write);
-        }
-        true
+        self.global(at, buf, idx, len, true)
     }
 
     /// The batched counterpart of [`shared_load`](Self::shared_load) /
     /// [`shared_store`](Self::shared_store): the same checks in the same
     /// per-record order, under a single `RefCell` borrow for the whole
-    /// phase. Bulk sinks cannot veto, so an out-of-bounds record is
-    /// reported without suppression — batched bodies bounds-check their
-    /// own accesses, making a veto unreachable here anyway.
+    /// phase. A race-free phase skips the race steps (see the module
+    /// docs), and is passed over entirely once every cell of the block is
+    /// written and no record is out of bounds. Bulk sinks cannot veto, so
+    /// an out-of-bounds record is reported without suppression — batched
+    /// bodies bounds-check their own accesses, making a veto unreachable
+    /// here anyway.
     fn observe_shared_batch(
         &mut self,
         bx: usize,
@@ -460,71 +642,40 @@ impl AccessSink for MonitorSink {
     ) {
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
+        let races = batch.stores() > 0 && !one_thread(batch.iter());
+        if !races && st.unwritten == 0 && batch.index_end() <= len {
+            return;
+        }
+        st.enter(bx, by, phase);
         for a in batch.iter() {
-            let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
             if a.idx >= len {
-                let kind = if a.store { AccessKind::Write } else { AccessKind::Read };
-                st.push(Finding::oob(MemSpace::Shared, None, at, kind, a.idx, len));
-                continue;
-            }
-            if a.store {
-                st.shared_written[a.idx] = true;
-                if let Some(hit) = race_step(&mut st.shared[a.idx], at, AccessKind::Write) {
-                    st.push(Finding::race(
-                        MemSpace::Shared,
-                        None,
-                        a.idx,
-                        at,
-                        AccessKind::Write,
-                        hit.thread,
-                        hit.kind,
-                    ));
-                }
-            } else {
-                if !st.shared_written[a.idx] && !st.uninit_seen[a.idx] {
-                    st.uninit_seen[a.idx] = true;
-                    st.uninit.push((a.idx, at));
-                }
-                if let Some(hit) = race_step(&mut st.shared[a.idx], at, AccessKind::Read) {
-                    st.push(Finding::race(
-                        MemSpace::Shared,
-                        None,
-                        a.idx,
-                        at,
-                        AccessKind::Read,
-                        hit.thread,
-                        hit.kind,
-                    ));
-                }
+                let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
+                st.report_oob(MemSpace::Shared, None, at, a.store, a.idx, len);
+            } else if races || st.unwritten > 0 {
+                st.shared_access(a.idx, a.tx, a.ty, a.store, races);
             }
         }
     }
 
     /// The batched counterpart of [`global_load`](Self::global_load) /
     /// [`global_store`](Self::global_store). The buffer table is
-    /// consulted once per run instead of once per access.
+    /// consulted once per run instead of once per access, and a
+    /// store-free phase keeps only the inter-block history. (Unlike the
+    /// shared batch, no scan for a second thread: global batches with
+    /// stores are few, and the scan did not pay for itself.)
     fn observe_global_batch(&mut self, bx: usize, by: usize, phase: usize, batch: &GlobalBatch) {
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
+        st.enter(bx, by, phase);
+        let races = batch.stores() > 0;
         for run in batch.runs() {
             let ordinal = st.table.ordinal(run.buf);
             for a in run.accesses() {
-                let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
-                let kind = if a.store { AccessKind::Write } else { AccessKind::Read };
                 if a.idx >= run.len {
-                    let name = ordinal.map(|o| st.table.name(o).to_owned());
-                    st.push(Finding::oob(
-                        MemSpace::Global,
-                        name.as_deref(),
-                        at,
-                        kind,
-                        a.idx,
-                        run.len,
-                    ));
-                    continue;
-                }
-                if let Some(o) = ordinal {
-                    st.global_access(o, a.idx, at, kind);
+                    let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
+                    st.report_oob(MemSpace::Global, ordinal, at, a.store, a.idx, run.len);
+                } else if let Some(o) = ordinal {
+                    st.global_access(o, a.idx, a.tx, a.ty, a.store, races);
                 }
             }
         }

@@ -4,8 +4,9 @@
 //! enumeration-order-independent RNG stream, and two measured outputs stay
 //! byte-for-byte what they were when their fingerprints were recorded. So
 //! do the kernel-verification outputs, which are computed on every host
-//! core: the full and sampled sanitizer sweep reports, the learned static
-//! DGEMM model and the fig7/fig8 lattice outcomes.
+//! core: the full and sampled sanitizer sweep reports, every finding of
+//! the seeded self-test fixtures, the learned static DGEMM model and the
+//! fig7/fig8 lattice outcomes.
 
 use enprop::apps::{
     fft2d::{Fft2dApp, Processor},
@@ -14,7 +15,7 @@ use enprop::apps::{
 use enprop::cpusim::BlasFlavor;
 use enprop::gpusim::GpuArch;
 use enprop::power::FaultPlan;
-use enprop::sanitize::{sanitize_all, sanitize_all_sampled, SampleSpec};
+use enprop::sanitize::{fixtures, sanitize_all, sanitize_all_sampled, SampleSpec};
 use enprop_bench::fig8;
 use enprop_staticcheck::{verify_fig_lattices, DgemmStaticModel};
 use proptest::prelude::*;
@@ -69,6 +70,22 @@ fn sampled_sanitize_report_bytes_match_golden() {
     let report = sanitize_all_sampled(&GpuArch::k40c(), false, SampleSpec::one_in(8, 42));
     let json = serde_json::to_string(&report).expect("serialize sanitize report");
     assert_golden("sanitize_all_sampled 1-in-8", &json, 0xca22_97d0_9f61_d043);
+}
+
+#[test]
+fn self_test_findings_match_golden() {
+    // The dirty path: every finding of every seeded fixture, in order,
+    // with its full attribution, plus each report's suppressed count.
+    let mut rendered = String::new();
+    for (_, report) in fixtures::self_test() {
+        rendered.push_str(&report.kernel);
+        rendered.push('\n');
+        for finding in &report.findings {
+            rendered.push_str(&format!("{finding:?}\n"));
+        }
+        rendered.push_str(&format!("suppressed {}\n", report.suppressed));
+    }
+    assert_golden("self-test findings", &rendered, 0x403a_adee_b3ae_e218);
 }
 
 #[test]
