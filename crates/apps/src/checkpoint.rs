@@ -70,7 +70,9 @@ pub const DEFAULT_SEGMENT_CAPACITY: usize = 512;
 pub const DEFAULT_SYNC_EVERY: usize = 16;
 
 const MANIFEST_FILE: &str = "MANIFEST.json";
-const FRAME_HEADER_LEN: usize = 8;
+
+/// Bytes of a frame's header: `[body_len u32 LE][crc32(body) u32 LE]`.
+pub const FRAME_HEADER_LEN: usize = 8;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) over `bytes`.
 ///
@@ -255,7 +257,10 @@ fn open_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("seg-{seq:08}.open"))
 }
 
-fn encode_frame(body: &[u8]) -> Vec<u8> {
+/// Encodes one record as a frame: the [`FRAME_HEADER_LEN`]-byte header
+/// (body length, then [`crc32`] of the body, both u32 LE) followed by the
+/// body. Panics if the body exceeds `u32::MAX` bytes.
+pub fn encode_frame(body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
     frame.extend_from_slice(&u32::try_from(body.len()).expect("record exceeds u32 frame length").to_le_bytes());
     frame.extend_from_slice(&crc32(body).to_le_bytes());

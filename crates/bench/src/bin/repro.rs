@@ -4,9 +4,12 @@
 //! repro [all|table1|fig1|fig2|fig4|fig6|fig7|fig8|theory|headline|bench-json|sanitize|
 //!        verify-static|serve]
 //!       [--json DIR] [--measured [SEED]] [--threads N] [--faults [RATE]] [--check]
-//!       [--checkpoint DIR] [--resume] [--all] [--self-test] [--sample K]
-//!       [--port PORT] [--cache DIR]
+//!       [--checkpoint DIR] [--resume] [--all] [--self-test] [--port PORT] [--cache DIR]
 //! ```
+//!
+//! At most one subcommand or artifact may be named (default `all`); a
+//! second name, or an option this list does not hold, is a usage error
+//! (exit 2).
 //!
 //! With `--json DIR` each generated artifact is additionally written as a
 //! JSON file (the source of the numbers in `EXPERIMENTS.md`). With
@@ -38,12 +41,10 @@
 //! DGEMM and FFT configuration, prints one line per launch plus every
 //! diagnostic, and exits non-zero if any launch is not clean. `--all`
 //! widens the sweep (N = 128 DGEMM tiles, maximal groups, larger FFTs);
-//! `--sample K` monitors 1-in-K blocks, selected deterministically from
-//! the run seed, for production-scale sweeps; `--json DIR` writes the
-//! machine-readable `SANITIZE_report.json`; `--self-test` instead runs
-//! the seeded buggy-kernel corpus (always unsampled, whatever `--sample`
-//! says) and exits non-zero unless each fixture is caught by exactly its
-//! intended checker.
+//! every block of every launch runs under the monitor. `--json DIR`
+//! writes the machine-readable `SANITIZE_report.json`; `--self-test`
+//! instead runs the seeded buggy-kernel corpus and exits non-zero unless
+//! each fixture is caught by exactly its intended checker.
 //!
 //! The `verify-static` subcommand proves the same safety properties
 //! *without executing the swept configurations*: the `enprop-staticcheck`
@@ -70,13 +71,12 @@
 //!   parallel speedup ≥ 1.5× at ≥ 4 threads on a host with ≥ 4 cores;
 //! * `emulator_dgemm` — one serial-wave tiled-DGEMM fixture (N = 256,
 //!   BS = 16) through the scalar interpreter, the batched SoA bodies, the
-//!   same bodies pinned to scalar-sse2, full monitoring and 1-in-8
-//!   sampled monitoring: every output and counter bitwise equal to the
-//!   scalar run's, no findings, bulk findings equal to a per-access
-//!   monitored run's, every self-test fixture caught by its checker
-//!   alone; batched ≥ 2× scalar, explicit SIMD ≥ 1.3× the pinned bodies
-//!   (unless the host dispatches scalar-sse2), monitoring ≤ 8× and
-//!   sampling ≤ 3× the scalar run;
+//!   same bodies pinned to scalar-sse2 and full monitoring: every output
+//!   and counter bitwise equal to the scalar run's, no findings, bulk
+//!   findings equal to a per-access monitored run's, every self-test
+//!   fixture caught by its checker alone; batched ≥ 2× scalar, explicit
+//!   SIMD ≥ 1.3× the pinned bodies (unless the host dispatches
+//!   scalar-sse2), monitoring ≤ 8× the scalar run;
 //! * `host_kernels` — the packed DGEMM against the unpacked baseline
 //!   (within 1e-8, ≥ 1.5×), and it and the 2-D FFT against their
 //!   multi-threaded forms: bitwise identity at 1/2/8 threads, ≥ 1.3× at 8
@@ -121,15 +121,9 @@ use std::time::Instant;
 /// Default transient-failure rate for `--faults` and the smoke sweep.
 const DEFAULT_FAULT_RATE: f64 = 0.05;
 
-/// The run seed feeding `SampleSpec` block selection under
-/// `sanitize --sample K` — the same 42 every other `repro` subcommand
-/// defaults to, so a sampled report is reproducible across runs and
-/// machines without any extra flag.
-const SANITIZE_SAMPLE_SEED: u64 = 42;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_string();
+    let mut which: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut measured: Option<u64> = None;
     let mut threads: Option<usize> = None;
@@ -137,7 +131,6 @@ fn main() {
     let mut check = false;
     let mut sanitize_all = false;
     let mut self_test = false;
-    let mut sample_k: Option<u64> = None;
     let mut checkpoint_dir: Option<String> = None;
     let mut resume = false;
     let mut port: u16 = 7271;
@@ -156,13 +149,6 @@ fn main() {
             "--resume" => resume = true,
             "--all" => sanitize_all = true,
             "--self-test" => self_test = true,
-            "--sample" => {
-                let k = it
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .unwrap_or_else(|| usage("--sample requires a positive integer K"));
-                sample_k = Some(k.max(1));
-            }
             "--measured" => {
                 let seed = it
                     .peek()
@@ -204,9 +190,16 @@ fn main() {
                     Some(it.next().unwrap_or_else(|| usage("missing --cache DIR")))
             }
             "-h" | "--help" => usage(""),
-            other => which = other.to_string(),
+            other if other.starts_with('-') => usage(&format!("unknown option '{other}'")),
+            other => {
+                if let Some(first) = &which {
+                    usage(&format!("'{other}' after '{first}': name one artifact or subcommand"));
+                }
+                which = Some(other.to_string());
+            }
         }
     }
+    let which = which.unwrap_or_else(|| "all".to_string());
 
     if resume && checkpoint_dir.is_none() {
         usage("--resume requires --checkpoint DIR");
@@ -222,7 +215,7 @@ fn main() {
     }
 
     if which == "sanitize" {
-        run_sanitize(sanitize_all, self_test, sample_k, json_dir.as_deref());
+        run_sanitize(sanitize_all, self_test, json_dir.as_deref());
         return;
     }
 
@@ -427,15 +420,9 @@ fn run(
 /// through the checkers (or, with `self_test`, the seeded buggy-kernel
 /// corpus) and exit non-zero unless the outcome is what a healthy tree
 /// must produce — zero findings for the shipped kernels, and exactly the
-/// intended checker firing for every fixture. With `--sample K` the sweep
-/// monitors 1-in-K blocks (deterministically selected from the run seed);
-/// the self-test corpus is always run unsampled, so `--sample` must never
-/// cost it a catch.
-fn run_sanitize(all: bool, self_test: bool, sample_k: Option<u64>, json_dir: Option<&str>) {
+/// intended checker firing for every fixture.
+fn run_sanitize(all: bool, self_test: bool, json_dir: Option<&str>) {
     if self_test {
-        if sample_k.is_some() {
-            eprintln!("self-test: corpus always runs unsampled; --sample ignored");
-        }
         let corpus = enprop_sanitize::fixtures::self_test();
         let mut missed = 0usize;
         for (expected, rep) in &corpus {
@@ -466,22 +453,10 @@ fn run_sanitize(all: bool, self_test: bool, sample_k: Option<u64>, json_dir: Opt
         return;
     }
 
-    let arch = GpuArch::k40c();
-    let sample = sample_k
-        .map_or_else(enprop_sanitize::SampleSpec::full, |k| {
-            enprop_sanitize::SampleSpec::one_in(k, SANITIZE_SAMPLE_SEED)
-        });
-    let report = enprop_sanitize::sanitize_all_sampled(&arch, all, sample);
+    let report = enprop_sanitize::sanitize_all(&GpuArch::k40c(), all);
     for k in &report.kernels {
         if k.clean() {
-            if sample.is_full() {
-                println!("clean  {} — {} block(s)", k.kernel, k.blocks);
-            } else {
-                println!(
-                    "clean  {} — {} of {} block(s) monitored",
-                    k.kernel, k.monitored_blocks, k.blocks
-                );
-            }
+            println!("clean  {} — {} block(s)", k.kernel, k.blocks);
         } else {
             println!(
                 "DIRTY  {} — {} finding(s), {} suppressed",
@@ -500,16 +475,11 @@ fn run_sanitize(all: bool, self_test: bool, sample_k: Option<u64>, json_dir: Opt
     let monitored: usize = report.kernels.iter().map(|k| k.monitored_blocks).sum();
     let blocks: usize = report.kernels.iter().map(|k| k.blocks).sum();
     println!(
-        "sanitize: {} launch(es) on {}, {} of {} block(s) monitored{}, {} finding(s){}",
+        "sanitize: {} launch(es) on {}, {} of {} block(s) monitored, {} finding(s){}",
         report.kernels.len(),
         report.arch,
         monitored,
         blocks,
-        if sample.is_full() {
-            String::new()
-        } else {
-            format!(" (1-in-{} sampling, seed {SANITIZE_SAMPLE_SEED})", sample.rate())
-        },
         report.total_findings(),
         if report.clean() { " — all clean" } else { "" }
     );
@@ -832,7 +802,7 @@ fn bench_sweep(threads: Option<usize>, host_cores: usize) -> SweepBench {
 }
 
 /// The `emulator_dgemm` section: one serial-wave tiled-DGEMM fixture
-/// (N = 256, BS = 16: a 16 × 16 grid of 256-thread blocks) run five ways
+/// (N = 256, BS = 16: a 16 × 16 grid of 256-thread blocks) run four ways
 /// in each round, every ratio taken against the same round's scalar run.
 #[derive(serde::Serialize)]
 struct EmulatorDgemm {
@@ -849,11 +819,6 @@ struct EmulatorDgemm {
     pinned_secs: f64,
     /// Every block under the sanitizer's monitor, on the bulk trace path.
     monitored_secs: f64,
-    /// 1-in-`sample_k` blocks monitored.
-    sampled_secs: f64,
-    sample_k: u64,
-    /// Blocks the sampled run monitored.
-    sampled_blocks: usize,
     /// `scalar / batched` per round: gated >= 2x.
     batched_speedup: Spread,
     /// `pinned / batched`: gated >= 1.3x unless the host dispatches
@@ -861,17 +826,15 @@ struct EmulatorDgemm {
     simd_speedup: Spread,
     /// `monitored / scalar`: gated <= 8x.
     monitored_overhead: Spread,
-    /// `sampled / scalar`: gated <= 3x.
-    sampled_overhead: Spread,
     /// Batched output and event counters equal the scalar ones bitwise.
     batched_identical: bool,
     /// Batched output and counters equal the pinned bodies' bitwise.
     simd_identical: bool,
-    /// The monitored, sampled and per-access monitored runs left output
-    /// and counters bitwise equal to the scalar run.
+    /// The monitored and per-access monitored runs left output and
+    /// counters bitwise equal to the scalar run.
     monitored_identical: bool,
-    /// Findings, suppressed ones included, of the monitored and sampled
-    /// runs: 0 on the shipped kernel.
+    /// Findings, suppressed ones included, of the monitored run: 0 on the
+    /// shipped kernel.
     findings: usize,
     /// The bulk-path findings equal, in order, those of one untimed run
     /// monitored access by access (`ForceScalar`).
@@ -934,13 +897,6 @@ impl Section for EmulatorDgemm {
                 self.monitored_overhead
             ),
         );
-        f.bound(
-            self.sampled_overhead.median <= 3.0,
-            format!(
-                "1-in-{} sampled monitoring overhead {} over the scalar interpreter exceeds 3x",
-                self.sample_k, self.sampled_overhead
-            ),
-        );
         f.failed
     }
 }
@@ -957,18 +913,15 @@ fn bits(m: &GlobalMem) -> Vec<u64> {
 struct Monitored {
     output: Output,
     outcome: enprop_sanitize::MonitorOutcome,
-    /// Blocks that ran under the monitor.
-    blocks: usize,
 }
 
-/// Launches `emu` on a fresh C with the blocks `select` picks under a
-/// `LaunchMonitor`, through the sink `wrap` makes of the monitor's. The
-/// seconds cover the launch alone.
+/// Launches `emu` on a fresh C with every block under a `LaunchMonitor`,
+/// through the sink `wrap` makes of the monitor's. The seconds cover the
+/// launch alone.
 fn monitored_dgemm<S: AccessSink>(
     emu: &EmuDgemm,
     a: &GlobalMem,
     b: &GlobalMem,
-    select: impl FnMut(usize, usize) -> bool,
     wrap: impl Fn(enprop_sanitize::MonitorSink) -> S,
 ) -> (f64, Monitored) {
     let TiledDgemmConfig { n, bs, .. } = emu.config();
@@ -978,30 +931,26 @@ fn monitored_dgemm<S: AccessSink>(
     table.register(b.id(), "B", n * n);
     table.register(c.id(), "C", n * n);
     let monitor = enprop_sanitize::LaunchMonitor::new(table, 2 * bs * bs);
-    let mut blocks = 0;
     let (secs, events) = timed(|| {
-        emu.run_monitored_sampled(
+        emu.run_monitored(
             a,
             b,
             &c,
-            select,
             |_, _| {
-                blocks += 1;
                 monitor.begin_block();
                 wrap(monitor.sink())
             },
             |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
         )
     });
-    (secs, Monitored { output: (bits(&c), events), outcome: monitor.finish(), blocks })
+    (secs, Monitored { output: (bits(&c), events), outcome: monitor.finish() })
 }
 
 fn bench_emulator_dgemm() -> EmulatorDgemm {
-    let (n, bs, sample_k) = (256usize, 16usize, 8u64);
+    let (n, bs) = (256usize, 16usize);
     let tiles = n / bs;
     let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g: 1, r: 1 }).with_wave(WavePlan::fixed(1));
     let pinned = emu.with_simd(SimdPath::ScalarSse2);
-    let spec = enprop_sanitize::SampleSpec::one_in(sample_k, SANITIZE_SAMPLE_SEED);
     let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
     let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
     let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
@@ -1012,27 +961,21 @@ fn bench_emulator_dgemm() -> EmulatorDgemm {
         (secs, (bits(&c), events))
     };
 
-    let (mut scalar, mut batched, mut simd_pinned) = (None, None, None);
-    let (mut monitored, mut sampled) = (None, None);
+    let (mut scalar, mut batched, mut simd_pinned, mut monitored) = (None, None, None, None);
     let times = time_rounds(
         ROUNDS,
         &mut [
             &mut || keep(&mut scalar, plain(&emu, false)),
             &mut || keep(&mut batched, plain(&emu, true)),
             &mut || keep(&mut simd_pinned, plain(&pinned, true)),
-            &mut || keep(&mut monitored, monitored_dgemm(&emu, &a, &b, |_, _| true, |s| s)),
-            &mut || {
-                let select = |bx, by| spec.selects(tiles, bx, by);
-                keep(&mut sampled, monitored_dgemm(&emu, &a, &b, select, |s| s))
-            },
+            &mut || keep(&mut monitored, monitored_dgemm(&emu, &a, &b, |s| s)),
         ],
     );
-    let per_access = monitored_dgemm(&emu, &a, &b, |_, _| true, ForceScalar).1;
+    let per_access = monitored_dgemm(&emu, &a, &b, ForceScalar).1;
     let [scalar, batched, simd_pinned] =
         [scalar, batched, simd_pinned].map(|out| out.expect("rounds ran"));
-    let [monitored, sampled] = [monitored, sampled].map(|out| out.expect("rounds ran"));
+    let monitored = monitored.expect("rounds ran");
     let corpus = enprop_sanitize::fixtures::self_test();
-    let found = |m: &Monitored| m.outcome.findings.len() + m.outcome.suppressed;
 
     EmulatorDgemm {
         workload: format!("tiled DGEMM (N = {n}, BS = {bs}, G = 1, R = 1), serial waves"),
@@ -1043,19 +986,13 @@ fn bench_emulator_dgemm() -> EmulatorDgemm {
         batched_secs: times.median(1),
         pinned_secs: times.median(2),
         monitored_secs: times.median(3),
-        sampled_secs: times.median(4),
-        sample_k,
-        sampled_blocks: sampled.blocks,
         batched_speedup: times.ratio(0, 1),
         simd_speedup: times.ratio(2, 1),
         monitored_overhead: times.ratio(3, 0),
-        sampled_overhead: times.ratio(4, 0),
         batched_identical: batched == scalar,
         simd_identical: simd_pinned == batched,
-        monitored_identical: [&monitored, &sampled, &per_access]
-            .iter()
-            .all(|m| m.output == scalar),
-        findings: found(&monitored) + found(&sampled),
+        monitored_identical: monitored.output == scalar && per_access.output == scalar,
+        findings: monitored.outcome.findings.len() + monitored.outcome.suppressed,
         findings_identical: monitored.outcome.findings == per_access.outcome.findings
             && monitored.outcome.suppressed == per_access.outcome.suppressed,
         selftest_caught: corpus.iter().filter(|(expected, rep)| caught(*expected, rep)).count(),
@@ -1934,8 +1871,8 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: repro [all|table1|fig1|fig2|fig4|fig6|fig7|fig8|theory|headline|bench-json|\
          sanitize|verify-static|serve] [--json DIR] [--measured [SEED]] [--threads N] [--faults [RATE]] \
-         [--check] [--checkpoint DIR] [--resume] [--all] [--self-test] [--sample K] \
-         [--port PORT] [--cache DIR]"
+         [--check] [--checkpoint DIR] [--resume] [--all] [--self-test] [--port PORT] \
+         [--cache DIR]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -1974,13 +1911,9 @@ mod tests {
             batched_secs: 0.006,
             pinned_secs: 0.03,
             monitored_secs: 0.3,
-            sampled_secs: 0.06,
-            sample_k: 8,
-            sampled_blocks: 39,
             batched_speedup: flat(8.0),
             simd_speedup: flat(4.0),
             monitored_overhead: flat(6.0),
-            sampled_overhead: flat(1.2),
             batched_identical: true,
             simd_identical: true,
             monitored_identical: true,

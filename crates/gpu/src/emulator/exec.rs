@@ -482,47 +482,13 @@ impl AccessSink for NoSink {
     }
 }
 
-/// A transparent sink that is deliberately **not** inert: every hook
-/// answers `true` from an empty body, but `INERT` stays `false`, so the
-/// interpreter keeps the per-thread scalar loop even for kernels that
-/// carry a batched body.
-///
-/// This is the "before" side of the batched-vs-scalar benchmark and the
-/// oracle of the batch-equivalence suite: a [`ScalarProbe`] run executes
-/// exactly the pre-batching code path, letting tests assert that the
-/// batched fast path is bitwise-identical (memory contents *and* flushed
-/// event counters) to the scalar interpreter it replaced.
-#[derive(Debug, Default, Clone, Copy)]
-#[must_use]
-pub struct ScalarProbe;
-
-impl AccessSink for ScalarProbe {
-    #[inline(always)]
-    fn shared_load(&mut self, _at: AccessPoint, _idx: usize, _len: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn shared_store(&mut self, _at: AccessPoint, _idx: usize, _len: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn global_load(&mut self, _at: AccessPoint, _buf: BufId, _idx: usize, _len: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn global_store(&mut self, _at: AccessPoint, _buf: BufId, _idx: usize, _len: usize) -> bool {
-        true
-    }
-}
-
 /// Pins any sink to the per-thread scalar loop by masking its bulk
 /// capability: `INERT` and `BULK` both stay `false` whatever the wrapped
 /// sink declares, so every access flows through the scalar hooks one by
-/// one. The oracle for monitored batch equivalence, in tests and in
-/// `bench-json`'s findings-identity check.
+/// one. `ForceScalar<NoSink>` runs exactly the pre-batching interpreter
+/// ([`run_grid_unbatched`]); around a monitor's sink it is the oracle for
+/// monitored batch equivalence, in tests and in `bench-json`'s
+/// findings-identity check.
 #[derive(Debug, Default)]
 #[must_use]
 pub struct ForceScalar<S>(pub S);
@@ -1058,7 +1024,7 @@ pub fn run_grid_unbatched<K: BlockKernel>(
     events: &EventCounters,
     plan: WavePlan,
 ) {
-    run_grid_with::<K, ScalarProbe>(grid, kernel, events, plan)
+    run_grid_with::<K, ForceScalar<NoSink>>(grid, kernel, events, plan)
 }
 
 /// Runs `kernel` over `grid` under instrumentation: each block gets a
@@ -1088,51 +1054,6 @@ pub fn run_grid_monitored<K, S, MF, CF>(
             let mut sink = make_sink(bx, by);
             let exit = exec_block(kernel, bx, by, events, &mut sink);
             collect(bx, by, sink, exit);
-        }
-    }
-}
-
-/// [`run_grid_monitored`] with per-block sampling: blocks for which
-/// `select(bx, by)` answers `true` run fully instrumented (sink created,
-/// every access observed, exit collected); the rest run uninstrumented on
-/// the fast path ([`NoSink`], batched where the kernel supports it) and
-/// never touch the monitor.
-///
-/// This is the sanitizer's production-scale mode: monitoring 1-in-k
-/// blocks keeps the shadow-memory cost proportional to the sample while
-/// the unsampled blocks still execute (and still count events), so the
-/// launch's results are identical to an unmonitored run. Unselected
-/// blocks are invisible to the checkers — see DESIGN.md for what 1-in-k
-/// sampling can and cannot catch. Blocks still run serially in row-major
-/// order, so sampled diagnostics stay deterministic.
-pub fn run_grid_monitored_sampled<K, S, PF, MF, CF>(
-    grid: Dim2,
-    kernel: &K,
-    events: &EventCounters,
-    mut select: PF,
-    mut make_sink: MF,
-    mut collect: CF,
-) where
-    K: BlockKernel,
-    S: AccessSink,
-    PF: FnMut(usize, usize) -> bool,
-    MF: FnMut(usize, usize) -> S,
-    CF: FnMut(usize, usize, S, BlockExit),
-{
-    for by in 0..grid.y {
-        for bx in 0..grid.x {
-            if select(bx, by) {
-                let mut sink = make_sink(bx, by);
-                let exit = exec_block(kernel, bx, by, events, &mut sink);
-                collect(bx, by, sink, exit);
-            } else {
-                // Unsampled blocks run to retirement on the fast path. A
-                // divergence here stops the block (as in the monitored
-                // interpreter) but is not reported — that is precisely
-                // the 1-in-k blind spot the sampling-soundness argument
-                // documents, and why the self-test corpus never samples.
-                let _ = exec_block(kernel, bx, by, events, &mut NoSink);
-            }
         }
     }
 }

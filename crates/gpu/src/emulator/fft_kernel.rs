@@ -15,12 +15,11 @@
 //! form survives in [`EmuRowFft::run_legacy`] for old-vs-new equivalence.
 
 use super::exec::{
-    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessSink,
-    BatchCtx, BlockExit, BlockKernel, Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
+    run_grid, run_grid_monitored, run_grid_unbatched, AccessSink, BatchCtx, BlockExit, BlockKernel,
+    Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
 };
 use super::legacy;
 use super::mem::{EmuEvents, EventCounters, GlobalMem};
-use super::simd::SimdPath;
 
 /// The emulated batched row FFT: `rows` independent transforms of length
 /// `n` (a power of two ≥ 2), the row pass of a 2-D FFT.
@@ -31,18 +30,14 @@ pub struct EmuRowFft {
     /// Number of rows (thread blocks).
     pub rows: usize,
     wave: WavePlan,
-    simd: SimdPath,
 }
 
 impl EmuRowFft {
-    /// Creates the kernel. Panics unless `n` is a power of two ≥ 2. The
-    /// batched phase bodies run on the widest SIMD tier the host supports
-    /// ([`SimdPath::detect`]); pin a narrower tier with
-    /// [`with_simd`](EmuRowFft::with_simd).
+    /// Creates the kernel. Panics unless `n` is a power of two ≥ 2.
     pub fn new(n: usize, rows: usize) -> Self {
         assert!(n >= 2 && n.is_power_of_two(), "FFT length must be a power of two >= 2");
         assert!(rows >= 1, "need at least one row");
-        Self { n, rows, wave: WavePlan::auto(), simd: SimdPath::detect() }
+        Self { n, rows, wave: WavePlan::auto() }
     }
 
     /// Overrides the block-wave width (tests; benchmarking).
@@ -51,29 +46,21 @@ impl EmuRowFft {
         self
     }
 
-    /// Pins the batched phase bodies to a SIMD tier, clamped to what the
-    /// host supports ([`SimdPath::pin`]). Every tier is bitwise-identical
-    /// by contract.
-    pub fn with_simd(mut self, path: SimdPath) -> Self {
-        self.simd = path.pin();
-        self
-    }
-
-    /// The SIMD tier the batched phase bodies run on.
-    pub fn simd(&self) -> SimdPath {
-        self.simd
+    /// The launch grid (one block per row) and the phase kernel over
+    /// `data`, after checking that `data` holds `rows × n` complexes.
+    fn kernel<'a>(&self, data: &'a GlobalMem) -> (Dim2, FftKernel<'a>) {
+        let (n, rows) = (self.n, self.rows);
+        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
+        (Dim2::new(1, rows), FftKernel { n, stages: n.trailing_zeros() as usize, data })
     }
 
     /// Launches the kernel over `data`: `rows × n` complex values as
     /// interleaved doubles (`2 · rows · n` cells), transformed in place.
     /// Returns the launch's event counts.
     pub fn run(&self, data: &GlobalMem) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
+        let (grid, kernel) = self.kernel(data);
         let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid(Dim2::new(1, rows), &kernel, &events, self.wave);
+        run_grid(grid, &kernel, &events, self.wave);
         events.snapshot()
     }
 
@@ -83,33 +70,9 @@ impl EmuRowFft {
     /// and equivalence oracle; bitwise-identical to [`run`](EmuRowFft::run)
     /// by contract.
     pub fn run_unbatched(&self, data: &GlobalMem) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
+        let (grid, kernel) = self.kernel(data);
         let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid_unbatched(Dim2::new(1, rows), &kernel, &events, self.wave);
-        events.snapshot()
-    }
-
-    /// [`run_monitored`](EmuRowFft::run_monitored) with per-block sampling
-    /// ([`run_grid_monitored_sampled`]): blocks selected by `select` run
-    /// fully instrumented, the rest take the uninstrumented (batched) fast
-    /// path. Results and event counts stay identical to an unmonitored
-    /// run; only checker *coverage* is sampled.
-    pub fn run_monitored_sampled<S: AccessSink>(
-        &self,
-        data: &GlobalMem,
-        select: impl FnMut(usize, usize) -> bool,
-        make_sink: impl FnMut(usize, usize) -> S,
-        collect: impl FnMut(usize, usize, S, BlockExit),
-    ) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
-        let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid_monitored_sampled(Dim2::new(1, rows), &kernel, &events, select, make_sink, collect);
+        run_grid_unbatched(grid, &kernel, &events, self.wave);
         events.snapshot()
     }
 
@@ -124,12 +87,9 @@ impl EmuRowFft {
         make_sink: impl FnMut(usize, usize) -> S,
         collect: impl FnMut(usize, usize, S, BlockExit),
     ) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
+        let (grid, kernel) = self.kernel(data);
         let events = EventCounters::new();
-        let kernel = FftKernel { n, stages: n.trailing_zeros() as usize, simd: self.simd, data };
-        run_grid_monitored(Dim2::new(1, rows), &kernel, &events, make_sink, collect);
+        run_grid_monitored(grid, &kernel, &events, make_sink, collect);
         events.snapshot()
     }
 
@@ -137,13 +97,10 @@ impl EmuRowFft {
     /// ([`super::legacy`]) — the equivalence oracle. Semantics and event
     /// counts are identical to [`run`](EmuRowFft::run).
     pub fn run_legacy(&self, data: &GlobalMem) -> EmuEvents {
-        let (n, rows) = (self.n, self.rows);
-        assert_eq!(data.len(), 2 * rows * n, "signal size mismatch");
-
-        let stages = n.trailing_zeros() as usize;
+        let (grid, FftKernel { n, stages, .. }) = self.kernel(data);
         let events = EventCounters::new();
         legacy::launch(
-            Dim2::new(1, rows),
+            grid,
             Dim2::new(n / 2, 1),
             2 * n, // one complex row in shared memory
             &events,
@@ -208,7 +165,6 @@ impl EmuRowFft {
 struct FftKernel<'a> {
     n: usize,
     stages: usize,
-    simd: SimdPath,
     data: &'a GlobalMem,
 }
 
@@ -317,7 +273,7 @@ impl BlockKernel for FftKernel<'_> {
                 if let Some(t) = ctx.trace() {
                     self.trace_load(base, t);
                 }
-                self.load_dispatch(base, ctx);
+                self.batch_load(base, ctx);
                 for st in states.iter_mut() {
                     *st = FftStep::Butterfly { len: 2 };
                 }
@@ -327,7 +283,7 @@ impl BlockKernel for FftKernel<'_> {
                 if let Some(t) = ctx.trace() {
                     self.trace_butterfly(len, t);
                 }
-                self.butterfly_dispatch(len, ctx);
+                self.batch_butterfly(len, ctx);
                 let next =
                     if len == n { FftStep::Store } else { FftStep::Butterfly { len: len << 1 } };
                 for st in states.iter_mut() {
@@ -339,7 +295,7 @@ impl BlockKernel for FftKernel<'_> {
                 if let Some(t) = ctx.trace() {
                     self.trace_store(base, t);
                 }
-                self.store_dispatch(base, ctx);
+                self.batch_store(base, ctx);
                 Some(PhaseOutcome::Done)
             }
         }
@@ -347,8 +303,6 @@ impl BlockKernel for FftKernel<'_> {
 }
 
 impl FftKernel<'_> {
-    // ---- scalar batch bodies (the `ScalarSse2` tier) -----------------
-
     /// Bit-reversed staging as one pass over the row. Each idx's target
     /// `j` is a permutation, so writes are disjoint and the cross-thread
     /// reorder is unobservable.
@@ -387,7 +341,13 @@ impl FftKernel<'_> {
                 g += 1;
             }
         }
-        self.count_butterfly(ctx);
+        // 10 flops and 4 shared loads + stores per butterfly, `n/2`
+        // butterflies.
+        let counts = ctx.counters();
+        let butterflies = (n / 2) as u64;
+        counts.flops += 10 * butterflies;
+        counts.shared_loads += 4 * butterflies;
+        counts.shared_stores += 4 * butterflies;
     }
 
     /// Spectrum write-back: a straight contiguous copy.
@@ -397,254 +357,6 @@ impl FftKernel<'_> {
         for idx in 0..n {
             self.data.store(base + 2 * idx, shared[2 * idx]);
             self.data.store(base + 2 * idx + 1, shared[2 * idx + 1]);
-        }
-        let counts = ctx.counters();
-        counts.shared_loads += 2 * n as u64;
-        counts.global_stores += 2 * n as u64;
-    }
-
-    /// Bulk event counts of one butterfly stage: 10 flops and 4 shared
-    /// loads + stores per butterfly, `n/2` butterflies.
-    fn count_butterfly(&self, ctx: &mut BatchCtx<'_>) {
-        let counts = ctx.counters();
-        let butterflies = (self.n / 2) as u64;
-        counts.flops += 10 * butterflies;
-        counts.shared_loads += 4 * butterflies;
-        counts.shared_stores += 4 * butterflies;
-    }
-
-    // ---- explicit-SIMD dispatch --------------------------------------
-
-    fn load_dispatch(&self, base: usize, ctx: &mut BatchCtx<'_>) {
-        match self.simd {
-            // SAFETY: the body only needs the x86-64 SSE2 baseline; the
-            // `unsafe` covers its raw-pointer row access.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 | SimdPath::Avx2 => unsafe { self.batch_load_sse2(base, ctx) },
-            _ => self.batch_load(base, ctx),
-        }
-    }
-
-    fn butterfly_dispatch(&self, len: usize, ctx: &mut BatchCtx<'_>) {
-        match self.simd {
-            // SAFETY: `simd` never exceeds `SimdPath::detect()`.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 => {
-                let tw = self.twiddles(len);
-                unsafe { self.batch_butterfly_avx512(len, &tw, ctx) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx2 => {
-                let tw = self.twiddles(len);
-                // SAFETY: as above — `simd` never exceeds host support.
-                unsafe { self.batch_butterfly_avx2(len, &tw, ctx) }
-            }
-            _ => self.batch_butterfly(len, ctx),
-        }
-    }
-
-    fn store_dispatch(&self, base: usize, ctx: &mut BatchCtx<'_>) {
-        match self.simd {
-            // SAFETY: `simd` never exceeds `SimdPath::detect()`.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 => unsafe { self.batch_store_avx512(base, ctx) },
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx2 => unsafe { self.batch_store_avx2(base, ctx) },
-            _ => self.batch_store(base, ctx),
-        }
-    }
-
-    /// Duplicated twiddle rows for the vector butterfly: `[re re …]` then
-    /// `[im im …]`, each value repeated per interleaved complex lane.
-    /// Computed with the exact scalar formula, so every lane sees the
-    /// same bits the scalar thread recomputed.
-    #[cfg(target_arch = "x86_64")]
-    fn twiddles(&self, len: usize) -> Vec<f64> {
-        let half = len / 2;
-        let mut tw = vec![0.0; 4 * half];
-        let (re, im) = tw.split_at_mut(2 * half);
-        for k in 0..half {
-            let ang = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
-            let (c, s) = (ang.cos(), ang.sin());
-            re[2 * k] = c;
-            re[2 * k + 1] = c;
-            im[2 * k] = s;
-            im[2 * k + 1] = s;
-        }
-        tw
-    }
-
-    /// Explicit-SIMD staging: the bit-reversal gather as 2-double
-    /// (one-complex) vector moves. Pure copies — bitwise identity is
-    /// trivial. Needs only the x86-64 SSE2 baseline, so both AVX tiers
-    /// share it.
-    ///
-    /// # Safety
-    /// None beyond compiling for x86-64 (SSE2 is baseline there); the fn
-    /// is `unsafe` only for uniformity with the feature-gated dispatch
-    /// arms.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn batch_load_sse2(&self, base: usize, ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm_loadu_pd, _mm_storeu_pd};
-        let n = self.n;
-        let src = self.data.range_ptr(base, 2 * n);
-        let dst = ctx.shared().as_mut_ptr();
-        // SAFETY: `src` is a `range_ptr`-checked `2n`-length row, `dst`
-        // spans the `2n`-cell shared row, and `j < n`.
-        unsafe {
-            for idx in 0..n {
-                let j = (idx.reverse_bits() >> (usize::BITS - self.stages as u32)) & (n - 1);
-                _mm_storeu_pd(dst.add(2 * j), _mm_loadu_pd(src.add(2 * idx)));
-            }
-        }
-        let counts = ctx.counters();
-        counts.global_loads += 2 * n as u64;
-        counts.shared_stores += 2 * n as u64;
-    }
-
-    /// Explicit-SIMD butterfly stage (AVX2): vector lanes map across `k`
-    /// within a group — two *butterflies* per vector, kept in interleaved
-    /// (re, im) form. Per lane the operation order is exactly the scalar
-    /// body's: two multiplies, then one add or subtract per component
-    /// (`addsub` rounds each lane once; IEEE addition is commutative, so
-    /// the swapped `v_im` operand order changes no bits), then the final
-    /// `u ± v`. Never FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn batch_butterfly_avx2(&self, len: usize, tw: &[f64], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{
-            _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute_pd,
-            _mm256_storeu_pd, _mm256_sub_pd,
-        };
-        let n = self.n;
-        let half = len / 2;
-        let groups = n / len;
-        let sp = ctx.shared().as_mut_ptr();
-        let (twre, twim) = tw.split_at(2 * half);
-        // SAFETY: `sp` spans the `2n`-cell shared row; `u`/`v` offsets
-        // stay below `2n` because `g·len + k + half < n`; twiddle rows
-        // hold `2·half` doubles and `k + lanes/2 ≤ half`.
-        unsafe {
-            for g in 0..groups {
-                let u_base = 2 * g * len;
-                let v_base = u_base + 2 * half;
-                let mut k = 0;
-                while k + 2 <= half {
-                    let u = _mm256_loadu_pd(sp.add(u_base + 2 * k));
-                    let v0 = _mm256_loadu_pd(sp.add(v_base + 2 * k));
-                    let wr = _mm256_loadu_pd(twre.as_ptr().add(2 * k));
-                    let wi = _mm256_loadu_pd(twim.as_ptr().add(2 * k));
-                    let t1 = _mm256_mul_pd(v0, wr);
-                    let t2 = _mm256_mul_pd(_mm256_permute_pd(v0, 0b0101), wi);
-                    let v = _mm256_addsub_pd(t1, t2);
-                    _mm256_storeu_pd(sp.add(u_base + 2 * k), _mm256_add_pd(u, v));
-                    _mm256_storeu_pd(sp.add(v_base + 2 * k), _mm256_sub_pd(u, v));
-                    k += 2;
-                }
-                while k < half {
-                    butterfly_ptr(sp, u_base + 2 * k, v_base + 2 * k, twre[2 * k], twim[2 * k]);
-                    k += 1;
-                }
-            }
-        }
-        self.count_butterfly(ctx);
-    }
-
-    /// Explicit-SIMD butterfly stage (AVX-512): the AVX2 body's contract
-    /// at four butterflies per vector; the missing `addsub` is a masked
-    /// blend of one-rounding `add`/`sub` results.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn batch_butterfly_avx512(&self, len: usize, tw: &[f64], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{
-            _mm512_add_pd, _mm512_loadu_pd, _mm512_mask_blend_pd, _mm512_mul_pd,
-            _mm512_permute_pd, _mm512_storeu_pd, _mm512_sub_pd,
-        };
-        let n = self.n;
-        let half = len / 2;
-        let groups = n / len;
-        let sp = ctx.shared().as_mut_ptr();
-        let (twre, twim) = tw.split_at(2 * half);
-        // SAFETY: `sp` spans the `2n`-cell shared row; `u`/`v` offsets
-        // stay below `2n` because `g·len + k + half < n`; twiddle rows
-        // hold `2·half` doubles and `k + lanes/2 ≤ half`.
-        unsafe {
-            for g in 0..groups {
-                let u_base = 2 * g * len;
-                let v_base = u_base + 2 * half;
-                let mut k = 0;
-                while k + 4 <= half {
-                    let u = _mm512_loadu_pd(sp.add(u_base + 2 * k));
-                    let v0 = _mm512_loadu_pd(sp.add(v_base + 2 * k));
-                    let wr = _mm512_loadu_pd(twre.as_ptr().add(2 * k));
-                    let wi = _mm512_loadu_pd(twim.as_ptr().add(2 * k));
-                    let t1 = _mm512_mul_pd(v0, wr);
-                    let t2 = _mm512_mul_pd(_mm512_permute_pd(v0, 0x55), wi);
-                    // Even (re) lanes take `t1 - t2`, odd (im) lanes take
-                    // `t1 + t2`; the discarded result never rounds into
-                    // the kept one.
-                    let v = _mm512_mask_blend_pd(
-                        0xAA,
-                        _mm512_sub_pd(t1, t2),
-                        _mm512_add_pd(t1, t2),
-                    );
-                    _mm512_storeu_pd(sp.add(u_base + 2 * k), _mm512_add_pd(u, v));
-                    _mm512_storeu_pd(sp.add(v_base + 2 * k), _mm512_sub_pd(u, v));
-                    k += 4;
-                }
-                while k < half {
-                    butterfly_ptr(sp, u_base + 2 * k, v_base + 2 * k, twre[2 * k], twim[2 * k]);
-                    k += 1;
-                }
-            }
-        }
-        self.count_butterfly(ctx);
-    }
-
-    /// Explicit-SIMD write-back (AVX2): one contiguous 4-lane copy.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn batch_store_avx2(&self, base: usize, ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
-        let n = self.n;
-        let dst = self.data.range_ptr(base, 2 * n);
-        let sp = ctx.shared().as_ptr();
-        // SAFETY: both pointers span `2n` doubles and `i + lanes ≤ 2n`.
-        unsafe {
-            let mut i = 0;
-            while i + 4 <= 2 * n {
-                _mm256_storeu_pd(dst.add(i), _mm256_loadu_pd(sp.add(i)));
-                i += 4;
-            }
-            while i < 2 * n {
-                *dst.add(i) = *sp.add(i);
-                i += 1;
-            }
-        }
-        let counts = ctx.counters();
-        counts.shared_loads += 2 * n as u64;
-        counts.global_stores += 2 * n as u64;
-    }
-
-    /// Explicit-SIMD write-back (AVX-512): one contiguous 8-lane copy.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn batch_store_avx512(&self, base: usize, ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm512_loadu_pd, _mm512_storeu_pd};
-        let n = self.n;
-        let dst = self.data.range_ptr(base, 2 * n);
-        let sp = ctx.shared().as_ptr();
-        // SAFETY: both pointers span `2n` doubles and `i + lanes ≤ 2n`.
-        unsafe {
-            let mut i = 0;
-            while i + 8 <= 2 * n {
-                _mm512_storeu_pd(dst.add(i), _mm512_loadu_pd(sp.add(i)));
-                i += 8;
-            }
-            while i < 2 * n {
-                *dst.add(i) = *sp.add(i);
-                i += 1;
-            }
         }
         let counts = ctx.counters();
         counts.shared_loads += 2 * n as u64;
@@ -721,31 +433,6 @@ impl FftKernel<'_> {
                 t.global.push_store(tid, 0, base + 2 * idx + 1);
             }
         }
-    }
-}
-
-/// One radix-2 butterfly over raw interleaved shared memory — the scalar
-/// tail of the vector butterfly bodies, in exactly the scalar phase
-/// body's operation order.
-///
-/// # Safety
-/// `sp` must span the block's shared row and `u0 + 1`, `v0 + 1` must be
-/// in bounds.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn butterfly_ptr(sp: *mut f64, u0: usize, v0: usize, w_re: f64, w_im: f64) {
-    // SAFETY: caller guarantees both 2-double slots are in bounds.
-    unsafe {
-        let u_re = *sp.add(u0);
-        let u_im = *sp.add(u0 + 1);
-        let v_re0 = *sp.add(v0);
-        let v_im0 = *sp.add(v0 + 1);
-        let v_re = v_re0 * w_re - v_im0 * w_im;
-        let v_im = v_re0 * w_im + v_im0 * w_re;
-        *sp.add(u0) = u_re + v_re;
-        *sp.add(u0 + 1) = u_im + v_im;
-        *sp.add(v0) = u_re - v_re;
-        *sp.add(v0 + 1) = u_im - v_im;
     }
 }
 

@@ -30,9 +30,9 @@ pub mod simd;
 pub mod tiled_dgemm;
 
 pub use exec::{
-    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessPoint,
-    AccessSink, BatchAccess, BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch,
-    GlobalRun, NoSink, PhaseCtx, PhaseOutcome, PhaseTrace, ScalarProbe, SharedBatch, WavePlan,
+    run_grid, run_grid_monitored, run_grid_unbatched, AccessPoint, AccessSink, BatchAccess,
+    BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch, GlobalRun, NoSink, PhaseCtx,
+    PhaseOutcome, PhaseTrace, SharedBatch, WavePlan,
 };
 pub use fft_kernel::EmuRowFft;
 pub use simd::SimdPath;

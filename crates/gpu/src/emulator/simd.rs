@@ -1,13 +1,17 @@
-//! Runtime SIMD dispatch for the batched phase bodies.
+//! Runtime SIMD dispatch for the tiled DGEMM's batched phase bodies.
 //!
-//! The batched SoA phase bodies of [`crate::emulator::EmuDgemm`] and
-//! [`crate::emulator::EmuRowFft`] each exist in up to three explicit
-//! tiers — AVX-512, AVX2, and the portable scalar loop (which on x86-64
-//! compiles against the SSE2 baseline). The tier is chosen **once, at
-//! kernel construction**, with `is_x86_feature_detected!`, and carried as
-//! plain data ([`SimdPath`]) rather than global state, so equivalence
-//! tests can pin any *supported* tier explicitly and run paths
-//! side-by-side without races.
+//! The batched SoA phase bodies of [`crate::emulator::EmuDgemm`] exist in
+//! three explicit tiers — AVX-512, AVX2, and the portable scalar loop
+//! (which on x86-64 compiles against the SSE2 baseline). The tier is
+//! chosen **once, at kernel construction**, with
+//! `is_x86_feature_detected!`, and carried as plain data ([`SimdPath`])
+//! rather than global state, so equivalence tests can pin any
+//! *supported* tier explicitly and run paths side-by-side without races.
+//!
+//! The row FFT ([`crate::emulator::EmuRowFft`]) has only the portable
+//! body: computing the twiddle factors dominates its stages, so vector
+//! bodies were slower at n ≤ 32 and won only at n ≥ 128, where FFT
+//! launches are a negligible share of a sanitize sweep (DESIGN.md).
 //!
 //! # Bitwise-identity contract
 //!

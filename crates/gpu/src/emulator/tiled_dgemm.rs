@@ -17,8 +17,8 @@
 //! [`EmuDgemm::run_legacy`] for old-vs-new equivalence tests.
 
 use super::exec::{
-    run_grid, run_grid_monitored, run_grid_monitored_sampled, run_grid_unbatched, AccessSink,
-    BatchCtx, BlockExit, BlockKernel, Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
+    run_grid, run_grid_monitored, run_grid_unbatched, AccessSink, BatchCtx, BlockExit, BlockKernel,
+    Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
 };
 use super::legacy;
 use super::mem::{EmuEvents, EventCounters, GlobalMem};
@@ -84,19 +84,29 @@ impl EmuDgemm {
         self.cfg
     }
 
-    /// Launches the kernel on the phase interpreter:
-    /// `C += (G·R) · A·B`, element count `N²` each. Returns the event
-    /// counts of the launch.
-    pub fn run(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
+    /// The launch grid and the phase kernel over `a`, `b`, `c`, after
+    /// checking that each buffer holds `N²` elements.
+    fn kernel<'a>(
+        &self,
+        a: &'a GlobalMem,
+        b: &'a GlobalMem,
+        c: &'a GlobalMem,
+    ) -> (Dim2, DgemmKernel<'a>) {
         let TiledDgemmConfig { n, bs, .. } = self.cfg;
         assert_eq!(a.len(), n * n, "A size mismatch");
         assert_eq!(b.len(), n * n, "B size mismatch");
         assert_eq!(c.len(), n * n, "C size mismatch");
-
         let tiles = n / bs;
+        (Dim2::new(tiles, tiles), DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c })
+    }
+
+    /// Launches the kernel on the phase interpreter:
+    /// `C += (G·R) · A·B`, element count `N²` each. Returns the event
+    /// counts of the launch.
+    pub fn run(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
+        let (grid, kernel) = self.kernel(a, b, c);
         let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid(Dim2::new(tiles, tiles), &kernel, &events, self.wave);
+        run_grid(grid, &kernel, &events, self.wave);
         events.snapshot()
     }
 
@@ -107,15 +117,9 @@ impl EmuDgemm {
     /// suite; results and event counts are bitwise-identical to
     /// [`run`](EmuDgemm::run) by contract.
     pub fn run_unbatched(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, .. } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
+        let (grid, kernel) = self.kernel(a, b, c);
         let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid_unbatched(Dim2::new(tiles, tiles), &kernel, &events, self.wave);
+        run_grid_unbatched(grid, &kernel, &events, self.wave);
         events.snapshot()
     }
 
@@ -134,49 +138,9 @@ impl EmuDgemm {
         make_sink: impl FnMut(usize, usize) -> S,
         collect: impl FnMut(usize, usize, S, BlockExit),
     ) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, .. } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
+        let (grid, kernel) = self.kernel(a, b, c);
         let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid_monitored(Dim2::new(tiles, tiles), &kernel, &events, make_sink, collect);
-        events.snapshot()
-    }
-
-    /// [`run_monitored`](EmuDgemm::run_monitored) with per-block sampling
-    /// ([`run_grid_monitored_sampled`]): blocks selected by `select` run
-    /// fully instrumented, the rest take the uninstrumented fast path
-    /// (batched) and never touch the monitor. Results and event counts
-    /// stay identical to an unmonitored run; only checker *coverage* is
-    /// sampled.
-    pub fn run_monitored_sampled<S: AccessSink>(
-        &self,
-        a: &GlobalMem,
-        b: &GlobalMem,
-        c: &GlobalMem,
-        select: impl FnMut(usize, usize) -> bool,
-        make_sink: impl FnMut(usize, usize) -> S,
-        collect: impl FnMut(usize, usize, S, BlockExit),
-    ) -> EmuEvents {
-        let TiledDgemmConfig { n, bs, .. } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
-        let events = EventCounters::new();
-        let kernel = DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c };
-        run_grid_monitored_sampled(
-            Dim2::new(tiles, tiles),
-            &kernel,
-            &events,
-            select,
-            make_sink,
-            collect,
-        );
+        run_grid_monitored(grid, &kernel, &events, make_sink, collect);
         events.snapshot()
     }
 
@@ -185,14 +149,10 @@ impl EmuDgemm {
     /// counts are identical to [`run`](EmuDgemm::run); wall-clock is not.
     pub fn run_legacy(&self, a: &GlobalMem, b: &GlobalMem, c: &GlobalMem) -> EmuEvents {
         let TiledDgemmConfig { n, bs, g, r } = self.cfg;
-        assert_eq!(a.len(), n * n, "A size mismatch");
-        assert_eq!(b.len(), n * n, "B size mismatch");
-        assert_eq!(c.len(), n * n, "C size mismatch");
-
-        let tiles = n / bs;
+        let (grid, _) = self.kernel(a, b, c);
         let events = EventCounters::new();
         legacy::launch(
-            Dim2::new(tiles, tiles),
+            grid,
             Dim2::new(bs, bs),
             2 * bs * bs,
             &events,

@@ -344,12 +344,13 @@ fn fft_batched_equals_scalar_at_1_2_8_threads() {
 }
 
 // ---------------------------------------------------------------------
-// Forced-fallback SIMD equivalence (PR 8). The explicit-SIMD batch
+// Forced-fallback SIMD equivalence. The DGEMM's explicit-SIMD batch
 // bodies are pinned to each ISA tier the host supports via `with_simd`
 // and compared against the scalar interpreter loop — bitwise memory AND
 // flushed counters. `SimdPath::available()` returns only host-supported
 // tiers, so this sweeps exactly what can run here; on an AVX-512 host
-// that is scalar-sse2, avx2 and avx512.
+// that is scalar-sse2, avx2 and avx512. The row FFT has one batched body,
+// which the `fft_batched_equals_scalar_*` tests above cover.
 // ---------------------------------------------------------------------
 
 /// One DGEMM config at a pinned SIMD tier vs the scalar interpreter loop.
@@ -374,21 +375,6 @@ fn assert_dgemm_simd_tier_equals_scalar(cfg: TiledDgemmConfig, path: SimdPath) {
     assert_eq!(tier_ev, scalar_ev, "n={n} bs={bs} g={g} r={r} {path}: counters diverged");
 }
 
-/// One FFT shape at a pinned SIMD tier vs the scalar interpreter loop.
-fn assert_fft_simd_tier_equals_scalar(n: usize, rows: usize, path: SimdPath) {
-    let host = filled(2 * rows * n, 94);
-    let emu = EmuRowFft::new(n, rows).with_simd(path);
-
-    let d1 = GlobalMem::from_slice(&host);
-    let tier_ev = emu.run(&d1);
-    let d2 = GlobalMem::from_slice(&host);
-    let scalar_ev = emu.run_unbatched(&d2);
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&d1), bits(&d2), "fft n={n} rows={rows} {path}: memory diverged");
-    assert_eq!(tier_ev, scalar_ev, "fft n={n} rows={rows} {path}: counters diverged");
-}
-
 #[test]
 fn dgemm_every_simd_tier_equals_scalar() {
     // Lane-multiple BS (16), sub-lane BS (3, shorter than one AVX2
@@ -406,18 +392,6 @@ fn dgemm_every_simd_tier_equals_scalar() {
 }
 
 #[test]
-fn fft_every_simd_tier_equals_scalar() {
-    // n = 2 keeps `half` below every vector width (pure scalar tail);
-    // n = 8 exercises the AVX2 tail after one vector; 64/256 the main
-    // vector loops over several stages.
-    for path in SimdPath::available() {
-        for &(n, rows) in &[(2usize, 3usize), (8, 2), (64, 2), (256, 1)] {
-            assert_fft_simd_tier_equals_scalar(n, rows, path);
-        }
-    }
-}
-
-#[test]
 fn with_simd_pins_are_clamped_to_host_support() {
     // Requesting a tier above what the host supports must clamp, never
     // crash: the emulator still runs and still matches scalar.
@@ -425,7 +399,6 @@ fn with_simd_pins_are_clamped_to_host_support() {
     let pinned = EmuDgemm::new(cfg).with_simd(SimdPath::Avx512);
     assert!(pinned.simd() <= SimdPath::detect());
     assert_dgemm_simd_tier_equals_scalar(cfg, SimdPath::Avx512);
-    assert!(EmuRowFft::new(8, 1).with_simd(SimdPath::Avx512).simd() <= SimdPath::detect());
 }
 
 mod batched_proptests {
@@ -494,19 +467,6 @@ mod batched_proptests {
                 TiledDgemmConfig { n, bs, g, r: 1 },
                 path,
             );
-        }
-
-        /// Random FFT shapes at a pinned SIMD tier.
-        #[test]
-        fn fft_pinned_simd_tier_equals_scalar_for_random_shapes(
-            n_pow in 1u32..9,             // n ∈ {2, ..., 256}
-            rows in 1usize..4,
-            tier_sel in 0usize..3,
-        ) {
-            let n = 1usize << n_pow;
-            let tiers = SimdPath::available();
-            let path = tiers[tier_sel % tiers.len()];
-            assert_fft_simd_tier_equals_scalar(n, rows, path);
         }
     }
 }

@@ -19,102 +19,12 @@ use crate::monitor::{BufferTable, LaunchMonitor};
 use crate::prelaunch;
 use crate::report::Finding;
 use enprop_gpusim::emulator::{
-    run_grid_monitored_sampled, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem,
+    run_grid_monitored, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem,
 };
 use enprop_gpusim::model::max_group;
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
 use enprop_par::host_parallelism;
 use serde::Serialize;
-
-/// Deterministic 1-in-k block sampling for production-scale sanitizing.
-///
-/// Selection is a pure function of the run seed and the block's linear
-/// index (SplitMix64 finalizer, `hash % k == 0`), so a given
-/// `(seed, k, launch)` always monitors the same blocks — reports stay
-/// bit-for-bit reproducible across runs and machines, exactly like full
-/// monitoring. [`SampleSpec::full`] (k = 1) monitors every block and is
-/// the default everywhere.
-///
-/// Sampling trades checker *coverage* for speed: unselected blocks run on
-/// the uninstrumented (batched) fast path, so intra-block hazards in them
-/// and inter-block hazards involving only unselected blocks go unseen.
-/// The kernels' block-symmetric structure makes one monitored block
-/// representative; see DESIGN.md for the full soundness argument. The
-/// drivers guarantee every launch monitors at least one block (via
-/// [`SampleSpec::fallback_block`], when the hash selects none of a small
-/// grid), and the self-test corpus always runs unsampled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use]
-pub struct SampleSpec {
-    k: u64,
-    seed: u64,
-}
-
-impl SampleSpec {
-    /// Full monitoring: every block is selected (`k = 1`).
-    pub fn full() -> Self {
-        Self { k: 1, seed: 0 }
-    }
-
-    /// Monitor one block in `k`, selected deterministically from `seed`.
-    /// `k = 1` (or 0) degrades to full monitoring.
-    pub fn one_in(k: u64, seed: u64) -> Self {
-        Self { k: k.max(1), seed }
-    }
-
-    /// The sampling rate denominator (1 = full monitoring).
-    pub fn rate(&self) -> u64 {
-        self.k
-    }
-
-    /// Whether every block is monitored.
-    pub fn is_full(&self) -> bool {
-        self.k <= 1
-    }
-
-    /// Whether block `(bx, by)` of a grid `grid_x` blocks wide is
-    /// monitored. Pure and deterministic in `(seed, k, index)`.
-    pub fn selects(&self, grid_x: usize, bx: usize, by: usize) -> bool {
-        self.k <= 1 || self.hash(grid_x, bx, by).is_multiple_of(self.k)
-    }
-
-    /// The block a driver must monitor anyway when the hash selects no
-    /// block of a `grid_x × grid_y` grid (small grids under large `k`):
-    /// the minimal-hash block, so the choice is as deterministic as
-    /// [`selects`](SampleSpec::selects) itself. `None` when at least one
-    /// block is already selected — every launch thus monitors ≥ 1 block.
-    pub fn fallback_block(&self, grid_x: usize, grid_y: usize) -> Option<(usize, usize)> {
-        if self.k <= 1 {
-            return None;
-        }
-        let mut best = (0usize, 0usize);
-        let mut best_hash = u64::MAX;
-        for by in 0..grid_y {
-            for bx in 0..grid_x {
-                let h = self.hash(grid_x, bx, by);
-                if h.is_multiple_of(self.k) {
-                    return None;
-                }
-                if h < best_hash {
-                    best_hash = h;
-                    best = (bx, by);
-                }
-            }
-        }
-        Some(best)
-    }
-
-    /// SplitMix64 finalizer over the block's linear index, keyed by the
-    /// run seed.
-    fn hash(&self, grid_x: usize, bx: usize, by: usize) -> u64 {
-        let lin = (by * grid_x + bx) as u64;
-        let mut z = self.seed ^ lin.wrapping_mul(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        z
-    }
-}
 
 /// The sanitized outcome of one kernel launch (or of its rejected
 /// pre-launch validation, in which case `blocks == 0`).
@@ -124,8 +34,8 @@ pub struct KernelReport {
     pub kernel: String,
     /// Thread blocks executed (0 when pre-launch validation rejected).
     pub blocks: usize,
-    /// Thread blocks that ran under the monitor (`== blocks` when
-    /// monitoring is full; fewer under [`SampleSpec`] sampling).
+    /// Thread blocks that ran under the monitor: every executed block,
+    /// so always `== blocks`.
     pub monitored_blocks: usize,
     /// Every finding, in deterministic discovery order.
     pub findings: Vec<Finding>,
@@ -186,67 +96,45 @@ pub fn sanitize_kernel<K: BlockKernel>(
     kernel: &K,
     table: BufferTable,
 ) -> KernelReport {
-    sanitize_kernel_sampled(label, grid, kernel, table, SampleSpec::full())
-}
-
-/// [`sanitize_kernel`] under a [`SampleSpec`]: only selected blocks run
-/// instrumented; the rest take the uninstrumented (batched) fast path and
-/// are invisible to the checkers.
-pub fn sanitize_kernel_sampled<K: BlockKernel>(
-    label: &str,
-    grid: Dim2,
-    kernel: &K,
-    table: BufferTable,
-    sample: SampleSpec,
-) -> KernelReport {
     let monitor = LaunchMonitor::new(table, kernel.shared_len());
     let events = EventCounters::new();
-    let fallback = sample.fallback_block(grid.x, grid.y);
-    let mut monitored = 0usize;
-    run_grid_monitored_sampled(
+    run_grid_monitored(
         grid,
         kernel,
         &events,
-        |bx, by| sample.selects(grid.x, bx, by) || fallback == Some((bx, by)),
         |_, _| {
-            monitored += 1;
             monitor.begin_block();
             monitor.sink()
         },
         |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
     );
+    launch_report(label.to_string(), grid.count(), monitor)
+}
+
+/// The report of a launch whose `blocks` all ran under `monitor`.
+fn launch_report(kernel: String, blocks: usize, monitor: LaunchMonitor) -> KernelReport {
     let out = monitor.finish();
     KernelReport {
-        kernel: label.to_string(),
-        blocks: grid.count(),
-        monitored_blocks: monitored,
+        kernel,
+        blocks,
+        monitored_blocks: blocks,
         findings: out.findings,
         suppressed: out.suppressed,
     }
 }
 
+/// The report of a launch that pre-launch validation rejected.
+fn rejected(kernel: String, findings: Vec<Finding>) -> KernelReport {
+    KernelReport { kernel, blocks: 0, monitored_blocks: 0, findings, suppressed: 0 }
+}
+
 /// Sanitizes one tiled-DGEMM launch: pre-launch geometry validation, then
 /// (if launchable) a fully monitored execution over deterministic inputs.
 pub fn sanitize_dgemm(cfg: TiledDgemmConfig, arch: &GpuArch) -> KernelReport {
-    sanitize_dgemm_sampled(cfg, arch, SampleSpec::full())
-}
-
-/// [`sanitize_dgemm`] under a [`SampleSpec`].
-pub fn sanitize_dgemm_sampled(
-    cfg: TiledDgemmConfig,
-    arch: &GpuArch,
-    sample: SampleSpec,
-) -> KernelReport {
     let label = format!("dgemm N={} BS={} G={} R={}", cfg.n, cfg.bs, cfg.g, cfg.r);
     let findings = prelaunch::check_dgemm(&cfg, arch);
     if !findings.is_empty() {
-        return KernelReport {
-            kernel: label,
-            blocks: 0,
-            monitored_blocks: 0,
-            findings,
-            suppressed: 0,
-        };
+        return rejected(label, findings);
     }
 
     let n = cfg.n;
@@ -260,52 +148,25 @@ pub fn sanitize_dgemm_sampled(
 
     let tiles = n / cfg.bs;
     let monitor = LaunchMonitor::new(table, 2 * cfg.bs * cfg.bs);
-    let fallback = sample.fallback_block(tiles, tiles);
-    let mut monitored = 0usize;
-    EmuDgemm::new(cfg).run_monitored_sampled(
+    EmuDgemm::new(cfg).run_monitored(
         &a,
         &b,
         &c,
-        |bx, by| sample.selects(tiles, bx, by) || fallback == Some((bx, by)),
         |_, _| {
-            monitored += 1;
             monitor.begin_block();
             monitor.sink()
         },
         |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
     );
-    let out = monitor.finish();
-    KernelReport {
-        kernel: label,
-        blocks: tiles * tiles,
-        monitored_blocks: monitored,
-        findings: out.findings,
-        suppressed: out.suppressed,
-    }
+    launch_report(label, tiles * tiles, monitor)
 }
 
 /// Sanitizes one row-FFT launch, analogously to [`sanitize_dgemm`].
 pub fn sanitize_fft(n: usize, rows: usize, arch: &GpuArch) -> KernelReport {
-    sanitize_fft_sampled(n, rows, arch, SampleSpec::full())
-}
-
-/// [`sanitize_fft`] under a [`SampleSpec`].
-pub fn sanitize_fft_sampled(
-    n: usize,
-    rows: usize,
-    arch: &GpuArch,
-    sample: SampleSpec,
-) -> KernelReport {
     let label = format!("fft n={n} rows={rows}");
     let findings = prelaunch::check_fft(n, rows, arch);
     if !findings.is_empty() {
-        return KernelReport {
-            kernel: label,
-            blocks: 0,
-            monitored_blocks: 0,
-            findings,
-            suppressed: 0,
-        };
+        return rejected(label, findings);
     }
 
     let data = GlobalMem::from_slice(&fill(2 * rows * n, 0xF0F7));
@@ -313,26 +174,15 @@ pub fn sanitize_fft_sampled(
     table.register(data.id(), "signal", 2 * rows * n);
 
     let monitor = LaunchMonitor::new(table, 2 * n);
-    let fallback = sample.fallback_block(1, rows);
-    let mut monitored = 0usize;
-    EmuRowFft::new(n, rows).run_monitored_sampled(
+    EmuRowFft::new(n, rows).run_monitored(
         &data,
-        |bx, by| sample.selects(1, bx, by) || fallback == Some((bx, by)),
         |_, _| {
-            monitored += 1;
             monitor.begin_block();
             monitor.sink()
         },
         |bx, by, _sink, exit| monitor.end_block(bx, by, &exit),
     );
-    let out = monitor.finish();
-    KernelReport {
-        kernel: label,
-        blocks: rows,
-        monitored_blocks: monitored,
-        findings: out.findings,
-        suppressed: out.suppressed,
-    }
+    launch_report(label, rows, monitor)
 }
 
 /// The DGEMM configurations a sweep sanitizes: every valid `BS` for each
@@ -377,24 +227,18 @@ pub fn fft_grid(all: bool) -> Vec<(usize, usize)> {
 }
 
 /// Sanitizes every shipped kernel configuration on `arch`.
-pub fn sanitize_all(arch: &GpuArch, all: bool) -> SanitizeReport {
-    sanitize_all_sampled(arch, all, SampleSpec::full())
-}
-
-/// [`sanitize_all`] under a [`SampleSpec`]: the production-scale sweep
-/// mode (`repro sanitize --sample K`).
 ///
 /// Launches run concurrently on [`host_parallelism`] workers, one launch
 /// per claim; each keeps its own monitor and runs its blocks serially, and
 /// the reports are assembled in sweep order (DGEMM grid, then FFT grid).
-pub fn sanitize_all_sampled(arch: &GpuArch, all: bool, sample: SampleSpec) -> SanitizeReport {
+pub fn sanitize_all(arch: &GpuArch, all: bool) -> SanitizeReport {
     let dgemms = dgemm_grid(arch, all);
     let ffts = fft_grid(all);
     let launch = |_: &mut (), i: usize| match dgemms.get(i) {
-        Some(&cfg) => sanitize_dgemm_sampled(cfg, arch, sample),
+        Some(&cfg) => sanitize_dgemm(cfg, arch),
         None => {
             let (n, rows) = ffts[i - dgemms.len()];
-            sanitize_fft_sampled(n, rows, arch, sample)
+            sanitize_fft(n, rows, arch)
         }
     };
     let launches = dgemms.len() + ffts.len();

@@ -43,9 +43,8 @@ pub mod prelaunch;
 pub mod report;
 
 pub use driver::{
-    dgemm_grid, fft_grid, sanitize_all, sanitize_all_sampled, sanitize_dgemm,
-    sanitize_dgemm_sampled, sanitize_fft, sanitize_fft_sampled, sanitize_kernel,
-    sanitize_kernel_sampled, KernelReport, SampleSpec, SanitizeReport,
+    dgemm_grid, fft_grid, sanitize_all, sanitize_dgemm, sanitize_fft, sanitize_kernel,
+    KernelReport, SanitizeReport,
 };
 pub use monitor::{BufferTable, LaunchMonitor, MonitorOutcome, MonitorSink, DEFAULT_FINDING_CAP};
 pub use report::{AccessKind, Checker, Finding, FindingKind, MemSpace};

@@ -12,14 +12,15 @@
 //! * in-flight dedup: concurrent requests for the same key coalesce onto
 //!   one computation — the first claims a [`PendingEntry`], the rest block
 //!   until it is filled (or abandoned) and then share the bytes;
-//! * an on-disk append-only log using the same CRC-guarded framing as
-//!   `enprop_apps::checkpoint` (`[len u32 LE][crc32 u32 LE][JSON body]`),
-//!   loaded tolerantly: a torn or corrupt tail — the signature of a kill
-//!   mid-append — is dropped and truncated away, and every record before
-//!   it replays. CRC and truncation behaviour mirror the journal's
-//!   torn-write contract.
+//! * an on-disk append-only log written with the checkpoint journal's
+//!   CRC-guarded frames ([`encode_frame`]: `[len u32 LE][crc32 u32 LE]
+//!   [JSON body]`), loaded tolerantly: a torn or corrupt tail — the
+//!   signature of a kill mid-append — is dropped and truncated away, and
+//!   every record before it replays. Unlike the journal, which reports a
+//!   CRC mismatch as corruption, the cache treats one as a torn tail: a
+//!   lost record only costs a recomputation.
 
-use enprop_apps::checkpoint::crc32;
+use enprop_apps::checkpoint::{crc32, encode_frame, FRAME_HEADER_LEN};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -27,10 +28,6 @@ use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-/// Frame header: `[body_len u32 LE][crc32(body) u32 LE]` — identical to the
-/// checkpoint journal's framing.
-const FRAME_HEADER_LEN: usize = 8;
 
 /// FNV-1a 64-bit over the canonical key — the content address. Collisions
 /// are irrelevant for correctness (the map is keyed by the full canonical
@@ -290,15 +287,6 @@ impl Drop for PendingEntry<'_> {
         drop(map);
         self.cache.ready.notify_all();
     }
-}
-
-/// Encodes one frame exactly as `enprop_apps::checkpoint` does.
-fn encode_frame(body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    frame.extend_from_slice(&u32::try_from(body.len()).expect("frame body fits u32").to_le_bytes());
-    frame.extend_from_slice(&crc32(body).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame
 }
 
 /// Scans frames tolerantly: returns the decoded records of the clean

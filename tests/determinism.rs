@@ -4,9 +4,9 @@
 //! enumeration-order-independent RNG stream, and two measured outputs stay
 //! byte-for-byte what they were when their fingerprints were recorded. So
 //! do the kernel-verification outputs, which are computed on every host
-//! core: the full and sampled sanitizer sweep reports, every finding of
-//! the seeded self-test fixtures, the learned static DGEMM model and the
-//! fig7/fig8 lattice outcomes.
+//! core: the sanitizer sweep report, every finding of the seeded
+//! self-test fixtures, the learned static DGEMM model and the fig7/fig8
+//! lattice outcomes.
 
 use enprop::apps::{
     fft2d::{Fft2dApp, Processor},
@@ -15,7 +15,7 @@ use enprop::apps::{
 use enprop::cpusim::BlasFlavor;
 use enprop::gpusim::GpuArch;
 use enprop::power::FaultPlan;
-use enprop::sanitize::{fixtures, sanitize_all, sanitize_all_sampled, SampleSpec};
+use enprop::sanitize::{fixtures, sanitize_all};
 use enprop_bench::fig8;
 use enprop_staticcheck::{verify_fig_lattices, DgemmStaticModel};
 use proptest::prelude::*;
@@ -63,13 +63,6 @@ fn sanitize_all_report_bytes_match_golden() {
     let report = sanitize_all(&GpuArch::k40c(), false);
     let json = serde_json::to_string(&report).expect("serialize sanitize report");
     assert_golden("sanitize_all", &json, 0x075b_6961_889f_3bef);
-}
-
-#[test]
-fn sampled_sanitize_report_bytes_match_golden() {
-    let report = sanitize_all_sampled(&GpuArch::k40c(), false, SampleSpec::one_in(8, 42));
-    let json = serde_json::to_string(&report).expect("serialize sanitize report");
-    assert_golden("sanitize_all_sampled 1-in-8", &json, 0xca22_97d0_9f61_d043);
 }
 
 #[test]
