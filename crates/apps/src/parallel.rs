@@ -305,13 +305,8 @@ impl SweepExecutor {
                 // The positional seed handed out by `map_with` indexes into
                 // `pending`; reseed by the configuration's *sweep* index so
                 // resumed and uninterrupted runs draw identical streams.
-                let outcome = measure_with_retry(
-                    runner,
-                    &policy,
-                    self.config_seed(index),
-                    &items[index],
-                    &f,
-                );
+                let outcome =
+                    measure_with_retry(runner, &policy, self.config_seed(index), &items[index], &f);
                 let record = JournalRecord { index, outcome: outcome.clone() };
                 if let Err(e) = lock_unpoisoned(&writer).append(&record) {
                     lock_unpoisoned(&append_error).get_or_insert(e);
@@ -323,8 +318,7 @@ impl SweepExecutor {
         }
         checkpoint.writer.finish()?;
 
-        let mut slots: Vec<Option<SweepOutcome<T>>> =
-            (0..items.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<SweepOutcome<T>>> = (0..items.len()).map(|_| None).collect();
         for (index, outcome) in replayed {
             slots[index] = Some(outcome);
         }
@@ -356,9 +350,7 @@ impl SweepExecutor {
 /// [`MeasureError::DeadlineExceeded`] — *even if it returned a point*: an
 /// overlong measurement on real hardware is suspect (thermal throttling, a
 /// wedged counter), and charging it to the retry budget is what keeps one
-/// pathological configuration from stalling a campaign. The watchdog is
-/// cooperative — it cannot preempt a closure that never returns; it bounds
-/// how much over-budget work is *accepted*, not how long the closure runs.
+/// pathological configuration from stalling a campaign.
 fn measure_with_retry<M, C, T>(
     runner: &mut MeasurementRunner<M>,
     policy: &RetryPolicy,
@@ -415,6 +407,11 @@ pub struct RetryPolicy {
     /// disables the watchdog; sweep output then depends only on seeds,
     /// never on host timing, which is what the bitwise thread-count
     /// invariance tests require.
+    ///
+    /// The watchdog is cooperative: it cannot preempt a closure that never
+    /// returns. It judges an attempt once the closure has returned, so it
+    /// bounds how much over-budget work is *accepted*, not how long the
+    /// closure runs.
     pub attempt_deadline: Option<Duration>,
 }
 
@@ -605,8 +602,8 @@ mod tests {
     use super::*;
     use enprop_par::panic_message as panic_payload_message;
     use enprop_power::FaultPlan;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use enprop_units::{Seconds, Watts};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_enumeration_order() {
@@ -863,6 +860,34 @@ mod tests {
     }
 
     #[test]
+    fn deadline_cannot_cut_an_attempt_short() {
+        // The watchdog's limit: a 1 ms budget does not stop a 30 ms
+        // attempt. Both attempts run to completion, and the failure
+        // reports the last one's full length.
+        let returns = AtomicUsize::new(0);
+        let robust = SweepExecutor::serial(3).run_measured_with_retry(
+            &[1.0f64],
+            RetryPolicy::attempts(2).with_attempt_deadline(Duration::from_millis(1)),
+            || MeasurementRunner::new(Watts(90.0), 0),
+            |_, _| {
+                std::thread::sleep(Duration::from_millis(30));
+                returns.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            },
+        );
+        assert_eq!(returns.load(Ordering::SeqCst), 2);
+        assert_eq!(robust.failed_configs(), 1);
+        let failure = &robust.failures[0];
+        assert_eq!(failure.attempts, 2);
+        match failure.error {
+            MeasureError::DeadlineExceeded { elapsed, .. } => {
+                assert!(elapsed >= Seconds(0.030), "elapsed {elapsed}")
+            }
+            ref e => panic!("expected DeadlineExceeded, got {e}"),
+        }
+    }
+
+    #[test]
     fn generous_deadline_leaves_the_sweep_bitwise_untouched() {
         let items: Vec<f64> = (1..=8).map(|i| 10.0 * i as f64).collect();
         let run = |policy: RetryPolicy| {
@@ -876,8 +901,7 @@ mod tests {
             )
         };
         let plain = run(RetryPolicy::default());
-        let watched =
-            run(RetryPolicy::default().with_attempt_deadline(Duration::from_secs(3600)));
+        let watched = run(RetryPolicy::default().with_attempt_deadline(Duration::from_secs(3600)));
         assert_eq!(plain, watched);
     }
 
@@ -977,8 +1001,8 @@ mod tests {
         // the recovery path and verify every record survives replay.
         use crate::checkpoint::{replay, JournalRecord, SweepCheckpoint, SweepManifest};
 
-        let dir = std::env::temp_dir()
-            .join(format!("enprop-poisoned-journal-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("enprop-poisoned-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let manifest = SweepManifest::new(7, 2, 1, "poison-regression".to_string());
         let ckpt: SweepCheckpoint<f64> = SweepCheckpoint::fresh(&dir, manifest).unwrap();

@@ -13,6 +13,19 @@ pub trait PowerSource {
     /// Length of the run.
     fn duration(&self) -> Seconds;
 
+    /// The draw at each time in `at` (seconds from the start of the run),
+    /// in watts: `out[i]` equals `power_at(Seconds(at[i]))` bit for bit.
+    /// It exists so that a meter makes one dynamic call per chunk of
+    /// samples instead of one per sample; inside this provided body
+    /// `power_at` is a static call the compiler can inline. Panics unless
+    /// `at` and `out` have the same length.
+    fn power_at_each(&self, at: &[f64], out: &mut [f64]) {
+        assert_eq!(at.len(), out.len(), "one output per time");
+        for (p, &t) in out.iter_mut().zip(at) {
+            *p = self.power_at(Seconds(t)).value();
+        }
+    }
+
     /// Exact energy over the run by analytic/fine integration.
     ///
     /// Default implementation integrates `power_at` with a fine trapezoid

@@ -9,13 +9,14 @@
 //! `g = √(−2 ln u₁)·cos(2π u₂)` from two SplitMix64 draws, added to the true
 //! draw, then rounded to the resolution — and [`SimulatedWattsUp::record`]
 //! returns exactly those bits. It gets there faster than evaluating libm per
-//! sample: readings are built in stack chunks of `CHUNK` samples, and one
+//! sample: readings are built in stack chunks of `CHUNK` samples, whose
+//! true draws come from one [`PowerSource::power_at_each`] call, and one
 //! branch-free body computes each chunk's draws in parallel lanes
 //! (`mix(state + k·γ)`), a polynomial estimate `ĝ`, and the reading wherever
 //! an exactness filter proves that the libm value falls in the same
-//! resolution step; elsewhere the libm expression is evaluated. The body is
-//! compiled for AVX-512, AVX2 and the baseline, and the host picks the
-//! tier. See DESIGN.md, "Meter hot path".
+//! resolution step, in short passes over the chunk; elsewhere the libm
+//! expression is evaluated. The body is compiled for AVX-512, AVX2 and the
+//! baseline, and the host picks the tier. See DESIGN.md, "Meter hot path".
 
 use crate::source::PowerSource;
 use crate::splitmix::{mix, unit, GAMMA};
@@ -58,8 +59,8 @@ pub struct SimulatedWattsUp {
 }
 
 /// Samples per stack chunk of [`SimulatedWattsUp::record`]: large enough to
-/// amortize the vectorized pass, small enough that the three chunk arrays
-/// (1.5 KiB) stay on the stack and in L1.
+/// amortize the vectorized passes, small enough that the four chunk arrays
+/// (2 KiB) stay on the stack and in L1.
 const CHUNK: usize = 64;
 
 impl SimulatedWattsUp {
@@ -119,6 +120,7 @@ impl SimulatedWattsUp {
     /// interval included by sampling at the exact end time).
     pub fn record(&mut self, app: &dyn PowerSource) -> PowerTrace {
         let spec = self.spec;
+        let idle = self.idle_power.value();
         let period = 1.0 / spec.sample_hz;
         let d = app.duration().value();
         // An infinite duration would append samples until memory runs out.
@@ -127,9 +129,13 @@ impl SimulatedWattsUp {
         // the accumulated timestamps; capped so no duration reserves more
         // than a million samples up front.
         let mut trace = PowerTrace::with_capacity((d / period).min(1e6) as usize + 3);
+        // The chunk arrays, zeroed once per reading: `value` holds each
+        // sample's u₁, then its radius, then its reading value, and `angle`
+        // its u₂, then its angle.
         let mut at = [0.0; CHUNK];
         let mut base = [0.0; CHUNK];
         let mut value = [0.0; CHUNK];
+        let mut angle = [0.0; CHUNK];
         let mut t = 0.0;
         let mut done = false;
         while !done {
@@ -139,12 +145,16 @@ impl SimulatedWattsUp {
                 // one final sample at exactly `d`.
                 done = t >= d;
                 at[n] = if done { d } else { t };
-                base[n] = (self.idle_power + app.power_at(Seconds(at[n]))).value() * spec.gain;
                 t += period;
                 n += 1;
             }
+            // One dynamic call per chunk, then the noiseless reading.
+            app.power_at_each(&at[..n], &mut base[..n]);
+            for b in &mut base[..n] {
+                *b = (idle + *b) * spec.gain;
+            }
             let state = self.state;
-            self.tier.values(spec, state, &base[..n], &mut value[..n]);
+            self.tier.values(spec, state, &base[..n], &mut value[..n], &mut angle[..n]);
             trace.extend_ordered((0..n).map(|i| {
                 let v = value[i];
                 let q = if v.is_nan() { libm_value(spec, base[i], draws(state, i)) } else { v };
@@ -218,17 +228,28 @@ impl Tier {
         Tier::Baseline
     }
 
-    /// [`values_body`] on this tier's instantiation.
-    fn values(self, spec: MeterSpec, state: u64, base: &[f64], value: &mut [f64]) {
+    /// [`values_body`] on this tier's instantiation, over one chunk: `base`
+    /// holds at most [`CHUNK`] samples, and the working arrays `value` and
+    /// `angle` are as long.
+    fn values(
+        self,
+        spec: MeterSpec,
+        state: u64,
+        base: &[f64],
+        value: &mut [f64],
+        angle: &mut [f64],
+    ) {
+        let n = base.len();
+        assert!(n <= CHUNK && value.len() == n && angle.len() == n, "one chunk of {n} samples");
         match self {
             // SAFETY: a meter's tier is `Tier::detect()` or, in tests, one
             // of the tiers at or below it, so the host has AVX-512F and DQ.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { values_avx512(spec, state, base, value) },
+            Tier::Avx512 => unsafe { values_avx512(spec, state, base, value, angle) },
             // SAFETY: as above; a host at or above this tier has AVX2.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { values_avx2(spec, state, base, value) },
-            _ => values_body(spec, state, base, value),
+            Tier::Avx2 => unsafe { values_avx2(spec, state, base, value, angle) },
+            _ => values_body(spec, state, base, value, angle),
         }
     }
 }
@@ -236,36 +257,68 @@ impl Tier {
 /// [`values_body`] compiled with AVX-512F and DQ enabled (same safe body).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn values_avx512(spec: MeterSpec, state: u64, base: &[f64], value: &mut [f64]) {
-    values_body(spec, state, base, value);
+unsafe fn values_avx512(
+    spec: MeterSpec,
+    state: u64,
+    base: &[f64],
+    value: &mut [f64],
+    angle: &mut [f64],
+) {
+    values_body(spec, state, base, value, angle);
 }
 
 /// [`values_body`] compiled with AVX2 enabled (same safe body).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn values_avx2(spec: MeterSpec, state: u64, base: &[f64], value: &mut [f64]) {
-    values_body(spec, state, base, value);
+unsafe fn values_avx2(
+    spec: MeterSpec,
+    state: u64,
+    base: &[f64],
+    value: &mut [f64],
+    angle: &mut [f64],
+) {
+    values_body(spec, state, base, value, angle);
 }
 
 /// The chunk body: for each sample `i`, its draws from SplitMix64 state
 /// `state`, the polynomial estimate `ĝ`, and the reading value that
-/// [`fast_value`] vouches for (NaN where it cannot). Straight-line integer
-/// and floating-point arithmetic with no branches and no libm calls, over
-/// exactly `base.len()` samples, so the loop vectorizes. It is inlined into
-/// each instantiation; rustc never fuses or reassociates floating point, so
-/// every lane computes the same IEEE operations in the same order.
+/// [`fast_value`] vouches for (NaN where it cannot), left in `value`.
+/// Straight-line integer and floating-point arithmetic with no branches and
+/// no libm calls, over exactly `base.len()` samples, so each loop
+/// vectorizes. It runs as four short passes rather than one long one,
+/// because a sample's whole computation is one dependency chain too long
+/// for the core to overlap successive iterations: the draws into `value`
+/// (u₁) and `angle` (u₂), the [`radii`] and the [`angles`] in place, then
+/// the filter on `ĝ = radius·angle`. It is inlined into each instantiation;
+/// rustc never fuses or reassociates floating point, so every lane computes
+/// the same IEEE operations in the same order as the one expression
+/// `√(−2 ln u₁)·cos 2πu₂` would.
 #[inline(always)]
-fn values_body(spec: MeterSpec, state: u64, base: &[f64], value: &mut [f64]) {
-    for (i, (v, &base)) in value.iter_mut().zip(base).enumerate() {
-        let (u1, u2) = draws(state, i);
-        *v = fast_value(spec, base, gaussian(u1, u2));
+fn values_body(spec: MeterSpec, state: u64, base: &[f64], value: &mut [f64], angle: &mut [f64]) {
+    for (i, (u1, u2)) in value.iter_mut().zip(angle.iter_mut()).enumerate() {
+        (*u1, *u2) = draws(state, i);
+    }
+    radii(value);
+    angles(angle);
+    for ((v, &a), &base) in value.iter_mut().zip(&*angle).zip(base) {
+        *v = fast_value(spec, base, *v * a);
     }
 }
 
-/// The polynomial Box–Muller estimate `ĝ` of `√(−2 ln u₁)·cos(2π u₂)`.
+/// The Box–Muller radii `√(−2 ln u₁)` of a chunk's draws `u₁`, in place.
 #[inline(always)]
-fn gaussian(u1: f64, u2: f64) -> f64 {
-    (-2.0 * ln(u1)).sqrt() * cos_2pi(u2)
+fn radii(u1: &mut [f64]) {
+    for r in u1 {
+        *r = (-2.0 * ln(*r)).sqrt();
+    }
+}
+
+/// The Box–Muller angles `cos 2πu₂` of a chunk's draws `u₂`, in place.
+#[inline(always)]
+fn angles(u2: &mut [f64]) {
+    for a in u2 {
+        *a = cos_2pi(*a);
+    }
 }
 
 /// 2⁵²: adding and subtracting it rounds a non-negative `x < 2⁵²` to the
@@ -387,7 +440,7 @@ fn cos_2pi(u: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{ConstantLoad, PiecewiseLoad};
+    use crate::source::{CompositeLoad, ConstantLoad, PiecewiseLoad};
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -621,6 +674,32 @@ mod tests {
                 assert_eq!(bits(&meter.record(app)), bits(&want), "seed {seed}");
             }
         }
+        // The fill at segment ends: at 10 Hz the accumulated timestamps and
+        // the segment ends both round, so samples land exactly on each end
+        // (0.1, 0.30000000000000004 and 1.0 s) and one an ulp short of the
+        // last. The composite adds a 0.3 s load, which the sample at
+        // 0.30000000000000004 s falls just past.
+        let fine = PiecewiseLoad::from_segments(vec![
+            (Seconds(0.1), Watts(180.0)),
+            (Seconds(0.2), Watts(60.0)),
+            (Seconds(0.7), Watts(125.0)),
+        ]);
+        let composite =
+            CompositeLoad::new(fine.clone(), ConstantLoad::new(Watts(58.0), Seconds(0.3)));
+        for spec in [
+            MeterSpec { sample_hz: 10.0, ..MeterSpec::default() },
+            MeterSpec { sample_hz: 10.0, noise_sd_w: 0.0, ..MeterSpec::default() },
+            MeterSpec { sample_hz: 10.0, gain: 0.97, resolution_w: 0.5, ..MeterSpec::default() },
+        ] {
+            for seed in 0..50 {
+                let mut meter = SimulatedWattsUp::new(spec, Watts(90.0), seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for &app in &[&fine as &dyn PowerSource, &composite, &fine] {
+                    let want = reference_record(spec, Watts(90.0), &mut rng, app);
+                    assert_eq!(bits(&meter.record(app)), bits(&want), "{spec:?}, seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -664,37 +743,39 @@ mod tests {
         tiers.into_iter().filter(|&t| t <= Tier::detect()).collect()
     }
 
-    /// The estimates `ĝ` that `tier`'s chunk body hands to the filter:
-    /// [`gaussian`] over a batch, inlined into the same kind of
-    /// `#[target_feature]` instantiation as [`values_body`].
+    /// The estimates `ĝ` that `tier`'s chunk body hands to the filter: the
+    /// [`radii`] and [`angles`] passes and their product, inlined into the
+    /// same kind of `#[target_feature]` instantiation as [`values_body`].
     fn gaussians(tier: Tier, u1: &[f64], u2: &[f64]) -> Vec<f64> {
         #[inline(always)]
-        fn body(u1: &[f64], u2: &[f64], g: &mut [f64]) {
-            for ((g, &u1), &u2) in g.iter_mut().zip(u1).zip(u2) {
-                *g = gaussian(u1, u2);
+        fn body(radius: &mut [f64], angle: &mut [f64]) {
+            radii(radius);
+            angles(angle);
+            for (g, &a) in radius.iter_mut().zip(&*angle) {
+                *g *= a;
             }
         }
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn avx512(u1: &[f64], u2: &[f64], g: &mut [f64]) {
-            body(u1, u2, g);
+        unsafe fn avx512(radius: &mut [f64], angle: &mut [f64]) {
+            body(radius, angle);
         }
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn avx2(u1: &[f64], u2: &[f64], g: &mut [f64]) {
-            body(u1, u2, g);
+        unsafe fn avx2(radius: &mut [f64], angle: &mut [f64]) {
+            body(radius, angle);
         }
         assert!(tier <= Tier::detect(), "host lacks the {tier:?} tier");
-        let mut g = vec![0.0; u1.len()];
+        let (mut g, mut angle) = (u1.to_vec(), u2.to_vec());
         match tier {
             // SAFETY: the assert above checked that the host has AVX-512F
             // and DQ.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { avx512(u1, u2, &mut g) },
+            Tier::Avx512 => unsafe { avx512(&mut g, &mut angle) },
             // SAFETY: the assert above checked that the host has AVX2.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { avx2(u1, u2, &mut g) },
-            _ => body(u1, u2, &mut g),
+            Tier::Avx2 => unsafe { avx2(&mut g, &mut angle) },
+            _ => body(&mut g, &mut angle),
         }
         g
     }
@@ -724,8 +805,8 @@ mod tests {
                 let state = rng.next_u64();
                 let base: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..300.0)).collect();
                 let values = |tier: Tier| {
-                    let mut value = vec![0.0; n];
-                    tier.values(spec, state, &base, &mut value);
+                    let (mut value, mut angle) = (vec![0.0; n], vec![0.0; n]);
+                    tier.values(spec, state, &base, &mut value, &mut angle);
                     to_bits(&value)
                 };
                 let want = values(Tier::Baseline);
@@ -754,6 +835,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one chunk of 65 samples")]
+    fn chunk_body_refuses_more_than_one_chunk() {
+        let n = CHUNK + 1;
+        let (mut value, mut angle) = (vec![0.0; n], vec![0.0; n]);
+        Tier::Baseline.values(MeterSpec::default(), 0, &vec![100.0; n], &mut value, &mut angle);
     }
 
     #[test]
