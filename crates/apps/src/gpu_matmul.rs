@@ -35,11 +35,12 @@ impl GpuMatMulApp {
         TiledDgemmConfig::enumerate(self.model.arch(), n, self.total_products)
     }
 
-    /// The analytic estimate of every configuration at size `n`, with the
-    /// per-`(N, BS)` model sub-result computed once per distinct `BS`
-    /// rather than once per `(BS, G, R)` variant. The enumeration is
-    /// `BS`-major, so a one-deep profile cache suffices.
-    fn estimates(&self, n: usize) -> Vec<(TiledDgemmConfig, KernelEstimate)> {
+    /// The analytic estimate of every configuration at size `n`, in
+    /// [`configs`](Self::configs) order, with the per-`(N, BS)` model
+    /// sub-result computed once per distinct `BS` rather than once per
+    /// `(BS, G, R)` variant. The enumeration is `BS`-major, so a one-deep
+    /// profile cache suffices.
+    pub fn estimates(&self, n: usize) -> Vec<(TiledDgemmConfig, KernelEstimate)> {
         let mut profile: Option<ProductProfile> = None;
         self.configs(n)
             .into_iter()
@@ -185,10 +186,8 @@ impl GpuMatMulApp {
         policy: RetryPolicy,
         plan: FaultPlan,
         checkpoint: SweepCheckpoint<DataPoint<TiledDgemmConfig>>,
-    ) -> Result<
-        ResumableSweep<TiledDgemmConfig, DataPoint<TiledDgemmConfig>>,
-        CheckpointError,
-    > {
+    ) -> Result<ResumableSweep<TiledDgemmConfig, DataPoint<TiledDgemmConfig>>, CheckpointError>
+    {
         let estimates = self.estimates(n);
         let resumed = exec.run_measured_with_retry_resumable(
             &estimates,
@@ -328,20 +327,17 @@ mod tests {
         let policy = RetryPolicy::attempts(2);
         let plan = FaultPlan::transient(0.3);
         let clean = app.sweep_measured_robust(256, &exec, policy, plan);
-        let dir = std::env::temp_dir()
-            .join(format!("enprop-gpumm-resume-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("enprop-gpumm-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let manifest = app.checkpoint_manifest(256, &exec, &policy, &plan);
         let ckpt = SweepCheckpoint::fresh(&dir, manifest.clone()).unwrap();
-        let first =
-            app.sweep_measured_robust_resumable(256, &exec, policy, plan, ckpt).unwrap();
+        let first = app.sweep_measured_robust_resumable(256, &exec, policy, plan, ckpt).unwrap();
         assert_eq!(first.sweep, clean);
         assert_eq!(first.executed, clean.total);
         assert_eq!(first.replayed, 0);
         // A second open replays everything and executes nothing.
         let again = SweepCheckpoint::resume(&dir, &manifest).unwrap();
-        let second =
-            app.sweep_measured_robust_resumable(256, &exec, policy, plan, again).unwrap();
+        let second = app.sweep_measured_robust_resumable(256, &exec, policy, plan, again).unwrap();
         assert_eq!(second.sweep, clean);
         assert_eq!(second.executed, 0);
         assert_eq!(second.replayed, clean.total);
@@ -352,8 +348,7 @@ mod tests {
     fn fastest_configuration_uses_bs32() {
         let app = GpuMatMulApp::new(GpuArch::p100_pcie(), 8);
         let pts = app.sweep_exact(4096);
-        let fastest =
-            pts.iter().min_by(|a, b| a.time.value().total_cmp(&b.time.value())).unwrap();
+        let fastest = pts.iter().min_by(|a, b| a.time.value().total_cmp(&b.time.value())).unwrap();
         assert_eq!(fastest.config.bs, 32);
     }
 }

@@ -70,13 +70,11 @@
 //!   serially and on `--threads` workers: bitwise identity, and a
 //!   parallel speedup ≥ 1.5× at ≥ 4 threads on a host with ≥ 4 cores;
 //! * `emulator_dgemm` — one serial-wave tiled-DGEMM fixture (N = 256,
-//!   BS = 16) through the scalar interpreter, the batched SoA bodies, the
-//!   same bodies pinned to scalar-sse2 and full monitoring: every output
-//!   and counter bitwise equal to the scalar run's, no findings, bulk
-//!   findings equal to a per-access monitored run's, every self-test
-//!   fixture caught by its checker alone; batched ≥ 2× scalar, explicit
-//!   SIMD ≥ 1.3× the pinned bodies (unless the host dispatches
-//!   scalar-sse2), monitoring ≤ 8× the scalar run;
+//!   BS = 16) through the scalar interpreter, the batched SoA bodies and
+//!   full monitoring: every output and counter bitwise equal to the
+//!   scalar run's, no findings, bulk findings equal to a per-access
+//!   monitored run's, every self-test fixture caught by its checker
+//!   alone; batched ≥ 2× scalar, monitoring ≤ 8× the scalar run;
 //! * `host_kernels` — the packed DGEMM against the unpacked baseline
 //!   (within 1e-8, ≥ 1.5×), and it and the 2-D FFT against their
 //!   multi-threaded forms: bitwise identity at 1/2/8 threads, ≥ 1.3× at 8
@@ -101,16 +99,13 @@
 //! written, the command exits non-zero if a correctness check failed
 //! (bitwise identity, findings, fixtures, lost configurations, static
 //! proofs); `--check` adds the timing bounds. A gate the host cannot run
-//! (a speedup on < 4 cores, explicit SIMD on a scalar-sse2 host, serving
-//! without loopback) never fails, and the JSON says why
-//! (`speedup_gate`, `socket_gate`, `simd_dispatch`).
+//! (a speedup on < 4 cores, serving without loopback) never fails, and
+//! the JSON says why (`speedup_gate`, `socket_gate`).
 
 use enprop_apps::checkpoint::{CrashPlan, SweepCheckpoint};
 use enprop_apps::{GpuMatMulApp, RetryPolicy, SweepExecutor, SweepFailure};
 use enprop_bench::figures;
-use enprop_gpusim::emulator::{
-    AccessSink, EmuDgemm, EmuEvents, ForceScalar, GlobalMem, SimdPath, WavePlan,
-};
+use enprop_gpusim::emulator::{AccessSink, EmuDgemm, EmuEvents, ForceScalar, GlobalMem, WavePlan};
 use enprop_gpusim::{GpuArch, TiledDgemmConfig};
 use enprop_power::FaultPlan;
 use enprop_sanitize::{Checker, KernelReport};
@@ -138,9 +133,7 @@ fn main() {
     let mut it = args.into_iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => {
-                json_dir = Some(it.next().unwrap_or_else(|| usage("missing --json DIR")))
-            }
+            "--json" => json_dir = Some(it.next().unwrap_or_else(|| usage("missing --json DIR"))),
             "--check" => check = true,
             "--checkpoint" => {
                 checkpoint_dir =
@@ -186,8 +179,7 @@ fn main() {
                     .unwrap_or_else(|| usage("--port requires a port number"));
             }
             "--cache" => {
-                serve_cache =
-                    Some(it.next().unwrap_or_else(|| usage("missing --cache DIR")))
+                serve_cache = Some(it.next().unwrap_or_else(|| usage("missing --cache DIR")))
             }
             "-h" | "--help" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown option '{other}'")),
@@ -231,8 +223,17 @@ fn main() {
 
     let artifacts: Vec<&str> = match which.as_str() {
         "all" => vec![
-            "table1", "fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "theory", "headline",
-            "ablations", "sensitivity",
+            "table1",
+            "fig1",
+            "fig2",
+            "fig4",
+            "fig6",
+            "fig7",
+            "fig8",
+            "theory",
+            "headline",
+            "ablations",
+            "sensitivity",
         ],
         one @ ("table1" | "fig1" | "fig2" | "fig4" | "fig6" | "fig7" | "fig8" | "theory"
         | "headline" | "ablations" | "sensitivity") => vec![one],
@@ -774,10 +775,9 @@ fn bench_sweep(threads: Option<usize>, host_cores: usize) -> SweepBench {
     let (mut serial_pts, mut parallel_pts) = (None, None);
     let times = time_rounds(
         ROUNDS,
-        &mut [
-            &mut || keep(&mut serial_pts, sweep(&serial)),
-            &mut || keep(&mut parallel_pts, sweep(&parallel)),
-        ],
+        &mut [&mut || keep(&mut serial_pts, sweep(&serial)), &mut || {
+            keep(&mut parallel_pts, sweep(&parallel))
+        }],
     );
     let serial_pts = serial_pts.expect("rounds ran");
     let speedup_gate = if parallel.threads() < 4 {
@@ -802,34 +802,25 @@ fn bench_sweep(threads: Option<usize>, host_cores: usize) -> SweepBench {
 }
 
 /// The `emulator_dgemm` section: one serial-wave tiled-DGEMM fixture
-/// (N = 256, BS = 16: a 16 × 16 grid of 256-thread blocks) run four ways
+/// (N = 256, BS = 16: a 16 × 16 grid of 256-thread blocks) run three ways
 /// in each round, every ratio taken against the same round's scalar run.
 #[derive(serde::Serialize)]
 struct EmulatorDgemm {
     workload: String,
     blocks: usize,
-    /// SIMD tier the batched bodies dispatched to.
-    simd_dispatch: String,
     rounds: usize,
     /// The scalar per-thread interpreter (`run_unbatched`), median seconds.
     scalar_secs: f64,
-    /// The batched SoA bodies at `simd_dispatch` (`run`).
+    /// The batched SoA bodies (`run`).
     batched_secs: f64,
-    /// The same bodies pinned to scalar-sse2, the auto-vectorized loops.
-    pinned_secs: f64,
     /// Every block under the sanitizer's monitor, on the bulk trace path.
     monitored_secs: f64,
     /// `scalar / batched` per round: gated >= 2x.
     batched_speedup: Spread,
-    /// `pinned / batched`: gated >= 1.3x unless the host dispatches
-    /// scalar-sse2, where both sides are the same code.
-    simd_speedup: Spread,
     /// `monitored / scalar`: gated <= 8x.
     monitored_overhead: Spread,
     /// Batched output and event counters equal the scalar ones bitwise.
     batched_identical: bool,
-    /// Batched output and counters equal the pinned bodies' bitwise.
-    simd_identical: bool,
     /// The monitored and per-access monitored runs left output and
     /// counters bitwise equal to the scalar run.
     monitored_identical: bool,
@@ -851,11 +842,6 @@ impl Section for EmulatorDgemm {
         f.require(
             self.batched_identical,
             "batched bodies diverged from the scalar interpreter (results or counters)",
-        );
-        f.require(
-            self.simd_identical,
-            "explicit-SIMD bodies diverged from the pinned scalar-sse2 bodies \
-             (results or counters)",
         );
         f.require(
             self.monitored_identical,
@@ -881,13 +867,6 @@ impl Section for EmulatorDgemm {
             format!(
                 "batched speedup {} over the scalar interpreter is below 2x",
                 self.batched_speedup
-            ),
-        );
-        f.bound(
-            self.simd_dispatch == "scalar-sse2" || self.simd_speedup.median >= 1.3,
-            format!(
-                "explicit-SIMD ({}) speedup {} over the pinned scalar-sse2 bodies is below 1.3x",
-                self.simd_dispatch, self.simd_speedup
             ),
         );
         f.bound(
@@ -950,7 +929,6 @@ fn bench_emulator_dgemm() -> EmulatorDgemm {
     let (n, bs) = (256usize, 16usize);
     let tiles = n / bs;
     let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g: 1, r: 1 }).with_wave(WavePlan::fixed(1));
-    let pinned = emu.with_simd(SimdPath::ScalarSse2);
     let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
     let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
     let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
@@ -961,36 +939,30 @@ fn bench_emulator_dgemm() -> EmulatorDgemm {
         (secs, (bits(&c), events))
     };
 
-    let (mut scalar, mut batched, mut simd_pinned, mut monitored) = (None, None, None, None);
+    let (mut scalar, mut batched, mut monitored) = (None, None, None);
     let times = time_rounds(
         ROUNDS,
         &mut [
             &mut || keep(&mut scalar, plain(&emu, false)),
             &mut || keep(&mut batched, plain(&emu, true)),
-            &mut || keep(&mut simd_pinned, plain(&pinned, true)),
             &mut || keep(&mut monitored, monitored_dgemm(&emu, &a, &b, |s| s)),
         ],
     );
     let per_access = monitored_dgemm(&emu, &a, &b, ForceScalar).1;
-    let [scalar, batched, simd_pinned] =
-        [scalar, batched, simd_pinned].map(|out| out.expect("rounds ran"));
+    let [scalar, batched] = [scalar, batched].map(|out| out.expect("rounds ran"));
     let monitored = monitored.expect("rounds ran");
     let corpus = enprop_sanitize::fixtures::self_test();
 
     EmulatorDgemm {
         workload: format!("tiled DGEMM (N = {n}, BS = {bs}, G = 1, R = 1), serial waves"),
         blocks: tiles * tiles,
-        simd_dispatch: emu.simd().as_str().to_string(),
         rounds: times.count(),
         scalar_secs: times.median(0),
         batched_secs: times.median(1),
-        pinned_secs: times.median(2),
-        monitored_secs: times.median(3),
+        monitored_secs: times.median(2),
         batched_speedup: times.ratio(0, 1),
-        simd_speedup: times.ratio(2, 1),
-        monitored_overhead: times.ratio(3, 0),
+        monitored_overhead: times.ratio(2, 0),
         batched_identical: batched == scalar,
-        simd_identical: simd_pinned == batched,
         monitored_identical: monitored.output == scalar && per_access.output == scalar,
         findings: monitored.outcome.findings.len() + monitored.outcome.suppressed,
         findings_identical: monitored.outcome.findings == per_access.outcome.findings
@@ -1093,9 +1065,8 @@ fn bench_host_kernels(host_cores: usize) -> HostKernels {
         .map(|i| Complex::new(((i % 17) as f64 - 8.0) * 0.1, ((i % 19) as f64 - 9.0) * 0.1))
         .collect();
     let fbits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let cbits = |s: &[Complex]| {
-        s.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect::<Vec<_>>()
-    };
+    let cbits =
+        |s: &[Complex]| s.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect::<Vec<_>>();
     // One run on a fresh copy of C or of the signal: seconds and output.
     let gemm = |kernel: &dyn Fn(&mut [f64])| {
         let mut c = c0.clone();
@@ -1270,8 +1241,7 @@ fn bench_fault_sweep(fault_rate: f64) -> FaultSweep {
     let at = |threads| SweepExecutor::new(42).with_threads(threads);
     let exec1 = at(1);
     let manifest = app.checkpoint_manifest(n, &exec1, &policy, &plan);
-    let root =
-        std::env::temp_dir().join(format!("enprop-bench-checkpoint-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("enprop-bench-checkpoint-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
     let (mut plain, mut journaled, mut journals) = (None, None, 0);
@@ -1448,7 +1418,9 @@ impl Section for StaticVerifyBench {
                 && self.fixtures_parity == self.fixtures_total,
             format!(
                 "missed seeded fixtures: {}/{} flagged, {}/{} with dynamic parity",
-                self.fixtures_flagged, self.fixtures_total, self.fixtures_parity,
+                self.fixtures_flagged,
+                self.fixtures_total,
+                self.fixtures_parity,
                 self.fixtures_total
             ),
         );
@@ -1905,17 +1877,13 @@ mod tests {
         EmulatorDgemm {
             workload: String::new(),
             blocks: 256,
-            simd_dispatch: "avx512".into(),
             rounds: ROUNDS,
             scalar_secs: 0.05,
             batched_secs: 0.006,
-            pinned_secs: 0.03,
             monitored_secs: 0.3,
             batched_speedup: flat(8.0),
-            simd_speedup: flat(4.0),
             monitored_overhead: flat(6.0),
             batched_identical: true,
-            simd_identical: true,
             monitored_identical: true,
             findings: 0,
             findings_identical: true,
@@ -2132,13 +2100,6 @@ mod tests {
         assert!(h.failures(true).is_empty());
         h.speedup_gate = SpeedupGate::on_cores(4, "MT-kernel");
         assert_eq!(h.failures(true).len(), 2);
-
-        let mut e = emulator_dgemm();
-        e.simd_dispatch = "scalar-sse2".into();
-        e.simd_speedup = flat(1.0);
-        assert!(e.failures(true).is_empty());
-        e.simd_dispatch = "avx2".into();
-        assert_eq!(e.failures(true).len(), 1);
 
         let mut v = serve(SpeedupGate::skipped(2, "no loopback".into()));
         v.ok = 0;

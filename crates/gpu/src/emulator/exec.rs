@@ -620,13 +620,12 @@ pub trait BlockKernel: Sync {
 /// of [`PhaseCtx`].
 ///
 /// A batched kernel body addresses shared memory directly as a contiguous
-/// slice ([`shared`](BatchCtx::shared)), performs bounds-checked global
-/// accesses without per-access event accounting
-/// ([`global_load`](BatchCtx::global_load) /
-/// [`global_store`](BatchCtx::global_store)), and adds its event counts
-/// in bulk ([`counters`](BatchCtx::counters)) — one add per phase instead
-/// of one per access. The totals must match what the scalar loop would
-/// have counted; the batch-equivalence suite enforces it.
+/// slice ([`shared`](BatchCtx::shared)), reaches global memory through
+/// [`GlobalMem`]'s bounds-checked accessors, which count nothing, and
+/// adds its event counts in bulk ([`counters`](BatchCtx::counters)) — one
+/// add per phase instead of one per access. The totals must match what
+/// the scalar loop would have counted; the batch-equivalence suite
+/// enforces it.
 #[must_use]
 pub struct BatchCtx<'a> {
     /// This block's `blockIdx.x`.
@@ -670,20 +669,6 @@ impl BatchCtx<'_> {
     #[inline]
     pub fn counters(&mut self) -> &mut BlockCounters {
         self.counts
-    }
-
-    /// Bounds-checked global load *without* event accounting — count the
-    /// phase's loads in bulk via [`counters`](BatchCtx::counters).
-    #[inline]
-    pub fn global_load(&self, mem: &GlobalMem, idx: usize) -> f64 {
-        mem.load(idx)
-    }
-
-    /// Bounds-checked global store *without* event accounting — count the
-    /// phase's stores in bulk via [`counters`](BatchCtx::counters).
-    #[inline]
-    pub fn global_store(&self, mem: &GlobalMem, idx: usize, v: f64) {
-        mem.store(idx, v)
     }
 }
 
@@ -1284,9 +1269,10 @@ mod tests {
         assert!(rec.shared[..8].iter().all(|(at, _, write)| at.phase == 0 && *write));
         assert!(rec.shared[8..].iter().all(|(at, _, write)| at.phase == 1 && !*write));
         // Thread attribution: store i comes from thread (i, 0).
-        assert!(rec.shared[..8].iter().enumerate().all(|(i, (at, idx, _))| {
-            at.thread() == (i, 0) && *idx == i
-        }));
+        assert!(rec.shared[..8]
+            .iter()
+            .enumerate()
+            .all(|(i, (at, idx, _))| { at.thread() == (i, 0) && *idx == i }));
         assert_eq!(rec.global.len(), 8);
         // Counters identical to an uninstrumented run.
         let plain = EventCounters::new();
@@ -1500,7 +1486,7 @@ mod tests {
                     for tx in 0..width {
                         let neighbour = (tx + 1) % width;
                         let v = ctx.shared()[neighbour];
-                        ctx.global_store(self.inner.out, tx, v);
+                        self.inner.out.store(tx, v);
                     }
                     if let Some(t) = ctx.trace() {
                         t.global.begin_run(self.inner.out.id(), self.inner.out.len());

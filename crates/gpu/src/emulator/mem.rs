@@ -1,57 +1,59 @@
 //! Emulated device memories and event counters.
 //!
-//! Both global and shared memory are plain `f64` buffers behind an
-//! [`UnsafeCell`], accessed without per-cell atomicity. That is sound for
-//! the same reason CUDA kernels are: the programming model this emulator
-//! enforces already forbids data races. Within a block, threads only
-//! exchange data across `__syncthreads` boundaries (the phase interpreter
-//! runs the threads of a block sequentially; the legacy OS-thread engine
-//! separates conflicting accesses with a real [`std::sync::Barrier`],
-//! whose `wait` establishes happens-before). Across blocks, a kernel may
-//! only write cells no other block touches during the launch — the CUDA
-//! contract the kernels under study (tiled DGEMM, row FFT) obey by
-//! construction. Concurrent accesses are therefore always to disjoint
-//! cells, which Rust permits for raw-pointer access: no overlapping
-//! unsynchronized access, no data race.
+//! Global and shared memory are arrays of `AtomicU64` cells, each holding
+//! one `f64`'s bits and accessed with `Relaxed` ordering, which compiles
+//! to plain moves on x86-64. Relaxed suffices because nothing is ever
+//! published through a cell's ordering:
 //!
-//! The previous revision stored every value as a bit pattern in an
-//! `AtomicU64` and bumped an atomic event counter on every access; the
-//! per-block counters ([`BlockCounters`]) flushed once per block into
-//! [`EventCounters`] replace that last hot-path atomic traffic.
+//! - blocks touch disjoint cells: within a block, threads exchange data
+//!   only across `__syncthreads` boundaries, and the phase interpreter
+//!   runs a block's threads in sequence on one host thread; across
+//!   blocks, a kernel writes only cells no other block touches during the
+//!   launch (the CUDA contract the tiled DGEMM and row FFT obey by
+//!   construction);
+//! - a launch's results are read after `enprop_par::for_chunks` has
+//!   joined its wave workers, and the join orders every worker's stores
+//!   before the read;
+//! - the legacy OS-thread engine's threads meet at a
+//!   [`std::sync::Barrier`], whose `wait` orders the accesses on either
+//!   side of it.
+//!
+//! A kernel that breaks the disjoint-cell convention therefore gets a
+//! wrong value (whichever store a load happens to see), which the
+//! sanitizer's race checker reports. It cannot cause undefined
+//! behaviour: nothing in the crate bypasses the compiler's checks, and
+//! `lib.rs` forbids anything that would. Every access is bounds-checked
+//! and panics with the memory kind, index and length.
+//!
+//! This reverses an earlier choice. The first phase interpreter made the
+//! cells plain `f64`s shared between threads on the strength of that
+//! convention alone, assuming atomic cells cost speed. Measured, they do
+//! not: with the batched DGEMM bodies on a 2-core AVX-512 host (one
+//! binary alternating both builds per round, medians of 21–31 serial
+//! launches), plain cells took 0.98–1.00× the relaxed cells' time at
+//! BS = 16 and 32 and 1.02–1.06× at BS = 2 and 8. What made the original
+//! atomic emulator slow was one atomic event-counter bump per access;
+//! the per-block counters ([`BlockCounters`]) flushed once per block
+//! into [`EventCounters`] replace that.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A flat array of `f64` cells shared by concurrently executing blocks.
-///
-/// # Concurrency contract
-///
-/// Cells may be read by any number of threads concurrently; a cell that
-/// any thread writes during a launch must not be accessed by a thread of
-/// another block, and within a block conflicting accesses must be
-/// separated by a barrier (phase boundary). This is exactly the CUDA
-/// global-memory discipline; the emulator's kernels uphold it and the
-/// bounds of every access are checked.
 #[derive(Debug)]
 struct Cells {
-    cells: Box<[UnsafeCell<f64>]>,
+    cells: Box<[AtomicU64]>,
     /// Memory kind for diagnostics ("global" / "shared"): an
     /// out-of-bounds access must name what it overran, not just where.
     kind: &'static str,
 }
 
-// SAFETY: see the concurrency contract above — all concurrent access is
-// to disjoint cells (enforced by kernel structure, not the type system),
-// and disjoint plain accesses are race-free.
-unsafe impl Sync for Cells {}
-
 impl Cells {
     fn zeroed(len: usize, kind: &'static str) -> Self {
-        Self { cells: (0..len).map(|_| UnsafeCell::new(0.0)).collect(), kind }
+        Self { cells: (0..len).map(|_| AtomicU64::new(0)).collect(), kind }
     }
 
     fn from_slice(data: &[f64], kind: &'static str) -> Self {
-        Self { cells: data.iter().map(|&v| UnsafeCell::new(v)).collect(), kind }
+        Self { cells: data.iter().map(|v| AtomicU64::new(v.to_bits())).collect(), kind }
     }
 
     fn len(&self) -> usize {
@@ -67,54 +69,39 @@ impl Cells {
     #[cold]
     #[inline(never)]
     fn oob(&self, op: &str, idx: usize) -> ! {
-        panic!(
-            "{} memory {op} out of bounds: index {idx} >= len {}",
-            self.kind,
-            self.cells.len()
-        )
+        panic!("{} memory {op} out of bounds: index {idx} >= len {}", self.kind, self.cells.len())
+    }
+
+    #[inline]
+    fn cell(&self, op: &str, idx: usize) -> &AtomicU64 {
+        match self.cells.get(idx) {
+            Some(cell) => cell,
+            None => self.oob(op, idx),
+        }
+    }
+
+    /// The `len` cells starting at `idx`, bounds-checked once; an overrun
+    /// names its first out-of-bounds index.
+    #[inline]
+    fn row(&self, op: &str, idx: usize, len: usize) -> &[AtomicU64] {
+        match idx.checked_add(len).and_then(|end| self.cells.get(idx..end)) {
+            Some(row) => row,
+            None => self.oob(op, idx.max(self.cells.len())),
+        }
     }
 
     #[inline]
     fn load(&self, idx: usize) -> f64 {
-        if idx >= self.cells.len() {
-            self.oob("load", idx);
-        }
-        // SAFETY: bounds-checked above; concurrent accesses are disjoint
-        // per the type's contract.
-        unsafe { *self.cells[idx].get() }
+        f64::from_bits(self.cell("load", idx).load(Ordering::Relaxed))
     }
 
     #[inline]
     fn store(&self, idx: usize, v: f64) {
-        if idx >= self.cells.len() {
-            self.oob("store", idx);
-        }
-        // SAFETY: as for `load`.
-        unsafe { *self.cells[idx].get() = v }
+        self.cell("store", idx).store(v.to_bits(), Ordering::Relaxed)
     }
 
     fn to_vec(&self) -> Vec<f64> {
-        // SAFETY: callers only snapshot between launches (host side).
-        self.cells.iter().map(|c| unsafe { *c.get() }).collect()
-    }
-
-    /// Bounds-checked base pointer of the `len` cells starting at `idx`,
-    /// for vectorized bulk access. `UnsafeCell<f64>` is layout-compatible
-    /// with `f64`, so consecutive cells form a contiguous `f64` run.
-    ///
-    /// The caller may read or write through the pointer only under the
-    /// type's concurrency contract (disjoint cells across concurrent
-    /// blocks), and only within the checked range.
-    #[inline]
-    fn range_ptr(&self, op: &str, idx: usize, len: usize) -> *mut f64 {
-        let end = idx.saturating_add(len);
-        if end > self.cells.len() {
-            self.oob(op, end.max(1) - 1);
-        }
-        if len == 0 {
-            return std::ptr::NonNull::<f64>::dangling().as_ptr();
-        }
-        self.cells[idx].get()
+        self.cells.iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect()
     }
 }
 
@@ -177,14 +164,28 @@ impl GlobalMem {
         self.cells.to_vec()
     }
 
-    /// Bounds-checked base pointer of `len` contiguous doubles starting at
-    /// `idx`, for vectorized batch phase bodies. Panics (attributably) if
-    /// the range overruns the allocation. Reads and writes through the
-    /// pointer are subject to the same disjoint-cell concurrency contract
-    /// as [`GlobalMem::load`] / [`GlobalMem::store`].
+    /// Loads the `dst.len()` doubles starting at `idx` into `dst`, without
+    /// event accounting: a batched phase body's row copy. Panics, naming
+    /// the first out-of-bounds index, if the row overruns the allocation.
     #[inline]
-    pub fn range_ptr(&self, idx: usize, len: usize) -> *mut f64 {
-        self.cells.range_ptr("range access", idx, len)
+    pub fn load_row(&self, idx: usize, dst: &mut [f64]) {
+        let row = self.cells.row("load", idx, dst.len());
+        for (d, cell) in dst.iter_mut().zip(row) {
+            *d = f64::from_bits(cell.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Adds `src` element-wise into the `src.len()` doubles starting at
+    /// `idx` (`cell = cell + src[i]`), without event accounting: a batched
+    /// phase body's row read-modify-write. Bounds-checked as
+    /// [`load_row`](GlobalMem::load_row). Each cell's load and store are
+    /// separate, not one atomic add, as in the scalar body.
+    #[inline]
+    pub fn add_row(&self, idx: usize, src: &[f64]) {
+        for (cell, &v) in self.cells.row("add", idx, src.len()).iter().zip(src) {
+            let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + v;
+            cell.store(sum.to_bits(), Ordering::Relaxed);
+        }
     }
 }
 
@@ -365,6 +366,29 @@ mod tests {
     #[should_panic(expected = "shared memory store out of bounds: index 7 >= len 2")]
     fn out_of_bounds_store_fails_loudly() {
         SharedMem::zeroed(2).store(7, 1.0);
+    }
+
+    #[test]
+    fn rows_load_and_add_in_place() {
+        let g = GlobalMem::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let mut row = [0.0; 2];
+        g.load_row(1, &mut row);
+        assert_eq!(row, [2.0, 3.0]);
+        g.add_row(2, &[0.5, -4.0]);
+        g.add_row(4, &[]);
+        assert_eq!(g.to_vec(), vec![1.0, 2.0, 3.5, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "global memory load out of bounds: index 4 >= len 4")]
+    fn overrunning_row_load_names_the_first_bad_index() {
+        GlobalMem::zeroed(4).load_row(2, &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "global memory add out of bounds: index 9 >= len 4")]
+    fn row_add_past_the_end_fails_loudly() {
+        GlobalMem::zeroed(4).add_row(9, &[1.0]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! host thread runs all threads of a block in lockstep phase order, blocks
 //! execute in parallel waves sized by [`exec::WavePlan`] (host
 //! parallelism, optionally capped by the modeled device's occupancy) and
-//! claimed in chunks through `enprop_par::for_chunks`. Memories are plain
-//! `f64` buffers ([`mem`]); event counts accumulate in per-block plain
-//! counters flushed once per block. The original
+//! claimed in chunks through `enprop_par::for_chunks`. Memories are
+//! relaxed atomic `f64` cells ([`mem`]); event counts accumulate in
+//! per-block plain counters flushed once per block. The original
 //! OS-thread-per-CUDA-thread engine survives in [`legacy`] purely as the
 //! equivalence oracle; its threads come from `enprop_par::join`.
 //!
@@ -35,6 +35,6 @@ pub use exec::{
     PhaseOutcome, PhaseTrace, SharedBatch, WavePlan,
 };
 pub use fft_kernel::EmuRowFft;
-pub use simd::SimdPath;
 pub use mem::{BlockCounters, BufId, EmuEvents, EventCounters, GlobalMem, SharedMem};
+pub use simd::SimdPath;
 pub use tiled_dgemm::EmuDgemm;

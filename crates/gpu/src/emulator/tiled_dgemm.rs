@@ -15,6 +15,20 @@
 //! flow appends: the inter-group separator barrier, or the first stage of
 //! the next run's product). The original closure form survives in
 //! [`EmuDgemm::run_legacy`] for old-vs-new equivalence tests.
+//!
+//! Each phase also has one portable batched body, which runs a whole
+//! block at once. Stage and retire are row copies and row
+//! read-modify-writes through [`GlobalMem::load_row`] and
+//! [`GlobalMem::add_row`]. The inner product puts its lanes across
+//! *threads*: it carries fixed-size register blocks of 16, then 8, then
+//! 4, then 1 threads of a row across the `k` loop, so each emulated
+//! thread's accumulation chain keeps the scalar program order, with a
+//! separate multiply and add per step (rustc neither reassociates nor
+//! contracts floating-point expressions). Results and flushed event
+//! counts are therefore bitwise the scalar interpreter's. The body is
+//! compiled for the baseline target only and picks no instruction set at
+//! run time; DESIGN.md ("One portable batch body") gives the measurements
+//! against the hand-written AVX2/AVX-512 bodies it replaced.
 
 use super::exec::{
     run_grid, run_grid_monitored, run_grid_unbatched, AccessSink, BatchCtx, BlockExit, BlockKernel,
@@ -22,7 +36,6 @@ use super::exec::{
 };
 use super::legacy;
 use super::mem::{EmuEvents, EventCounters, GlobalMem};
-use super::simd::SimdPath;
 use crate::model::{shared_bytes, TiledDgemmConfig};
 use crate::GpuArch;
 
@@ -34,20 +47,17 @@ use crate::GpuArch;
 pub struct EmuDgemm {
     cfg: TiledDgemmConfig,
     wave: WavePlan,
-    simd: SimdPath,
 }
 
 impl EmuDgemm {
     /// Wraps a configuration. Panics unless `BS | N` and the group size is
-    /// within the Fig. 5 family limits. The batched phase bodies run on
-    /// the widest SIMD tier the host supports ([`SimdPath::detect`]);
-    /// pin a narrower tier with [`with_simd`](EmuDgemm::with_simd).
+    /// within the Fig. 5 family limits.
     pub fn new(cfg: TiledDgemmConfig) -> Self {
         assert!(cfg.bs >= 1 && cfg.bs <= 32, "BS out of range: {}", cfg.bs);
         assert!(cfg.n.is_multiple_of(cfg.bs), "emulator requires BS | N ({} % {})", cfg.n, cfg.bs);
         assert!(cfg.g >= 1 && cfg.g <= 8, "G out of range: {}", cfg.g);
         assert!(cfg.r >= 1, "R must be positive");
-        Self { cfg, wave: WavePlan::auto(), simd: SimdPath::detect() }
+        Self { cfg, wave: WavePlan::auto() }
     }
 
     /// Binds the block-wave width to `arch`'s occupancy: at most as many
@@ -63,20 +73,6 @@ impl EmuDgemm {
     pub fn with_wave(mut self, wave: WavePlan) -> Self {
         self.wave = wave;
         self
-    }
-
-    /// Pins the batched phase bodies to a SIMD tier, clamped to what the
-    /// host supports ([`SimdPath::pin`]). The forced-fallback equivalence
-    /// suite and the explicit-SIMD benchmark baseline use this; every
-    /// tier is bitwise-identical by contract.
-    pub fn with_simd(mut self, path: SimdPath) -> Self {
-        self.simd = path.pin();
-        self
-    }
-
-    /// The SIMD tier the batched phase bodies run on.
-    pub fn simd(&self) -> SimdPath {
-        self.simd
     }
 
     /// The wrapped configuration.
@@ -97,7 +93,7 @@ impl EmuDgemm {
         assert_eq!(b.len(), n * n, "B size mismatch");
         assert_eq!(c.len(), n * n, "C size mismatch");
         let tiles = n / bs;
-        (Dim2::new(tiles, tiles), DgemmKernel { cfg: self.cfg, tiles, simd: self.simd, a, b, c })
+        (Dim2::new(tiles, tiles), DgemmKernel { cfg: self.cfg, tiles, a, b, c })
     }
 
     /// Launches the kernel on the phase interpreter:
@@ -177,7 +173,6 @@ impl EmuDgemm {
 struct DgemmKernel<'a> {
     cfg: TiledDgemmConfig,
     tiles: usize,
-    simd: SimdPath,
     a: &'a GlobalMem,
     b: &'a GlobalMem,
     c: &'a GlobalMem,
@@ -256,69 +251,39 @@ impl DgemmKernel<'_> {
 
     /// Batched tile stage: each thread row of `As`/`Bs` is one contiguous
     /// run of global memory (`ai + n·ty + tx` is consecutive in `tx`), so
-    /// the whole stage collapses to `2·bs` row copies, unrolled by 4.
-    /// Events are counted in bulk: `2·bs²` global loads + shared stores,
-    /// exactly what the scalar loop counts one by one.
+    /// the whole stage is `2·bs` row copies. Events are counted in bulk:
+    /// `2·bs²` global loads + shared stores, exactly what the scalar loop
+    /// counts one by one.
     fn batch_stage(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
         let (n, bs) = (self.cfg.n, self.cfg.bs);
         let (ai, bi) = (states[0].ai, states[0].bi);
         let bs2 = bs * bs;
         let (as_tile, bs_tile) = ctx.shared().split_at_mut(bs2);
         for ty in 0..bs {
-            let a_base = ai + n * ty;
-            let b_base = bi + n * ty;
-            let as_row = &mut as_tile[ty * bs..(ty + 1) * bs];
-            let bs_row = &mut bs_tile[ty * bs..(ty + 1) * bs];
-            let mut tx = 0;
-            while tx + 4 <= bs {
-                as_row[tx] = self.a.load(a_base + tx);
-                as_row[tx + 1] = self.a.load(a_base + tx + 1);
-                as_row[tx + 2] = self.a.load(a_base + tx + 2);
-                as_row[tx + 3] = self.a.load(a_base + tx + 3);
-                bs_row[tx] = self.b.load(b_base + tx);
-                bs_row[tx + 1] = self.b.load(b_base + tx + 1);
-                bs_row[tx + 2] = self.b.load(b_base + tx + 2);
-                bs_row[tx + 3] = self.b.load(b_base + tx + 3);
-                tx += 4;
-            }
-            while tx < bs {
-                as_row[tx] = self.a.load(a_base + tx);
-                bs_row[tx] = self.b.load(b_base + tx);
-                tx += 1;
-            }
+            self.a.load_row(ai + n * ty, &mut as_tile[ty * bs..][..bs]);
+            self.b.load_row(bi + n * ty, &mut bs_tile[ty * bs..][..bs]);
         }
         let counts = ctx.counters();
         counts.global_loads += 2 * bs2 as u64;
         counts.shared_stores += 2 * bs2 as u64;
     }
 
-    /// Batched inner product: one pass over the thread index with each
-    /// thread's `k` chain kept as a single sequential accumulator (unrolled
-    /// by 4 but **not** reassociated), so every `csub` is bit-for-bit the
-    /// scalar loop's. Bulk counts: `2·bs³` flops and shared loads.
+    /// Batched inner product, one thread row at a time: threads
+    /// `tx..tx + L` of the row advance together in `L`-lane register
+    /// blocks (`L` = 16, then 8, 4 and 1 for what is left), so BS = 28
+    /// runs 16 + 8 + 4 lanes and BS = 31 runs 16 + 8 + 4 + 1 + 1 + 1.
+    /// Bulk counts: `2·bs³` flops and shared loads.
     fn batch_mac(&self, states: &mut [DgemmState], ctx: &mut BatchCtx<'_>) {
         let bs = self.cfg.bs;
         let bs2 = bs * bs;
         let (as_tile, bs_tile) = ctx.shared().split_at(bs2);
         for ty in 0..bs {
-            let a_row = &as_tile[ty * bs..(ty + 1) * bs];
-            for tx in 0..bs {
-                let st = &mut states[ty * bs + tx];
-                let mut acc = st.csub;
-                let mut k = 0;
-                while k + 4 <= bs {
-                    acc += a_row[k] * bs_tile[k * bs + tx];
-                    acc += a_row[k + 1] * bs_tile[(k + 1) * bs + tx];
-                    acc += a_row[k + 2] * bs_tile[(k + 2) * bs + tx];
-                    acc += a_row[k + 3] * bs_tile[(k + 3) * bs + tx];
-                    k += 4;
-                }
-                while k < bs {
-                    acc += a_row[k] * bs_tile[k * bs + tx];
-                    k += 1;
-                }
-                st.csub = acc;
-            }
+            let a_row = &as_tile[ty * bs..][..bs];
+            let row = &mut states[ty * bs..][..bs];
+            let tx = mac_lanes::<16>(a_row, bs_tile, row, 0);
+            let tx = mac_lanes::<8>(a_row, bs_tile, row, tx);
+            let tx = mac_lanes::<4>(a_row, bs_tile, row, tx);
+            mac_lanes::<1>(a_row, bs_tile, row, tx);
         }
         let counts = ctx.counters();
         let muls = (bs * bs2) as u64;
@@ -326,348 +291,17 @@ impl DgemmKernel<'_> {
         counts.shared_loads += 2 * muls;
     }
 
-    /// Batched `C += Csub`: each thread row retires as one contiguous run
-    /// of read-modify-writes. Bulk counts: `bs²` global loads and stores.
+    /// Batched `C += Csub`: each thread row retires as one contiguous row
+    /// read-modify-write. Bulk counts: `bs²` global loads and stores.
     fn batch_retire(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
         let (n, bs) = (self.cfg.n, self.cfg.bs);
         let base = n * bs * ctx.by + bs * ctx.bx;
-        for ty in 0..bs {
-            let row = base + n * ty;
-            for tx in 0..bs {
-                let ci = row + tx;
-                let prev = self.c.load(ci);
-                self.c.store(ci, prev + states[ty * bs + tx].csub);
-            }
-        }
-        let counts = ctx.counters();
-        counts.global_loads += (bs * bs) as u64;
-        counts.global_stores += (bs * bs) as u64;
-    }
-
-    // ---- explicit-SIMD dispatch --------------------------------------
-    //
-    // The tier is carried as data ([`SimdPath`]), resolved once at
-    // `EmuDgemm` construction and clamped to host support, so the
-    // `unsafe` feature-gated calls below are sound by construction.
-
-    fn stage_dispatch(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
-        match self.simd {
-            // SAFETY: `simd` never exceeds `SimdPath::detect()`.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 => unsafe { self.batch_stage_avx512(states, ctx) },
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx2 => unsafe { self.batch_stage_avx2(states, ctx) },
-            _ => self.batch_stage(states, ctx),
-        }
-    }
-
-    fn mac_dispatch(&self, states: &mut [DgemmState], ctx: &mut BatchCtx<'_>) {
-        match self.simd {
-            // SAFETY: `simd` never exceeds `SimdPath::detect()`.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 => unsafe { self.batch_mac_avx512(states, ctx) },
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx2 => unsafe { self.batch_mac_avx2(states, ctx) },
-            _ => self.batch_mac(states, ctx),
-        }
-    }
-
-    fn retire_dispatch(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
-        match self.simd {
-            // SAFETY: `simd` never exceeds `SimdPath::detect()`.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 => unsafe { self.batch_retire_avx512(states, ctx) },
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx2 => unsafe { self.batch_retire_avx2(states, ctx) },
-            _ => self.batch_retire(states, ctx),
-        }
-    }
-
-    /// Explicit-SIMD stage (AVX2): the row copies of
-    /// [`batch_stage`](Self::batch_stage) as 4-lane vector moves. Pure
-    /// copies — no arithmetic — so bitwise identity is trivial; the
-    /// `range_ptr` bounds check covers each row once up front.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn batch_stage_avx2(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
-        let (n, bs) = (self.cfg.n, self.cfg.bs);
-        let (ai, bi) = (states[0].ai, states[0].bi);
-        let bs2 = bs * bs;
-        let (as_tile, bs_tile) = ctx.shared().split_at_mut(bs2);
-        for ty in 0..bs {
-            let a_src = self.a.range_ptr(ai + n * ty, bs);
-            let b_src = self.b.range_ptr(bi + n * ty, bs);
-            let a_dst = as_tile[ty * bs..(ty + 1) * bs].as_mut_ptr();
-            let b_dst = bs_tile[ty * bs..(ty + 1) * bs].as_mut_ptr();
-            let mut tx = 0;
-            // SAFETY: sources are `range_ptr`-checked `bs`-length rows,
-            // destinations are `bs`-length subslices, and `tx + lanes ≤ bs`.
-            unsafe {
-                while tx + 4 <= bs {
-                    _mm256_storeu_pd(a_dst.add(tx), _mm256_loadu_pd(a_src.add(tx)));
-                    _mm256_storeu_pd(b_dst.add(tx), _mm256_loadu_pd(b_src.add(tx)));
-                    tx += 4;
-                }
-                while tx < bs {
-                    *a_dst.add(tx) = *a_src.add(tx);
-                    *b_dst.add(tx) = *b_src.add(tx);
-                    tx += 1;
-                }
-            }
-        }
-        let counts = ctx.counters();
-        counts.global_loads += 2 * bs2 as u64;
-        counts.shared_stores += 2 * bs2 as u64;
-    }
-
-    /// Explicit-SIMD stage (AVX-512): 8-lane vector moves.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn batch_stage_avx512(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm512_loadu_pd, _mm512_storeu_pd};
-        let (n, bs) = (self.cfg.n, self.cfg.bs);
-        let (ai, bi) = (states[0].ai, states[0].bi);
-        let bs2 = bs * bs;
-        let (as_tile, bs_tile) = ctx.shared().split_at_mut(bs2);
-        for ty in 0..bs {
-            let a_src = self.a.range_ptr(ai + n * ty, bs);
-            let b_src = self.b.range_ptr(bi + n * ty, bs);
-            let a_dst = as_tile[ty * bs..(ty + 1) * bs].as_mut_ptr();
-            let b_dst = bs_tile[ty * bs..(ty + 1) * bs].as_mut_ptr();
-            let mut tx = 0;
-            // SAFETY: sources are `range_ptr`-checked `bs`-length rows,
-            // destinations are `bs`-length subslices, and `tx + lanes ≤ bs`.
-            unsafe {
-                while tx + 8 <= bs {
-                    _mm512_storeu_pd(a_dst.add(tx), _mm512_loadu_pd(a_src.add(tx)));
-                    _mm512_storeu_pd(b_dst.add(tx), _mm512_loadu_pd(b_src.add(tx)));
-                    tx += 8;
-                }
-                while tx < bs {
-                    *a_dst.add(tx) = *a_src.add(tx);
-                    *b_dst.add(tx) = *b_src.add(tx);
-                    tx += 1;
-                }
-            }
-        }
-        let counts = ctx.counters();
-        counts.global_loads += 2 * bs2 as u64;
-        counts.shared_stores += 2 * bs2 as u64;
-    }
-
-    /// Explicit-SIMD inner product (AVX2): vector lanes map across `tx`
-    /// — four *threads* per vector — so each lane's `k` chain stays one
-    /// sequential accumulator in scalar program order. Multiply and add
-    /// stay separate instructions (never FMA): the scalar oracle rounds
-    /// after every operation, and fusing would skip that rounding.
-    /// Independent `tx` chunks are interleaved to overlap add latency —
-    /// parallelism across threads, never within one chain. The strided
-    /// `csub` registers are gathered into a contiguous scratch row once
-    /// per thread row (`O(bs²)` traffic against `O(bs³)` compute).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn batch_mac_avx2(&self, states: &mut [DgemmState], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{
-            _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-        };
-        let bs = self.cfg.bs;
-        let bs2 = bs * bs;
-        let (as_tile, bs_tile) = ctx.shared().split_at(bs2);
-        let bt = bs_tile.as_ptr();
-        let mut acc = [0.0f64; 32];
-        for ty in 0..bs {
-            let a_row = &as_tile[ty * bs..(ty + 1) * bs];
-            let row = &mut states[ty * bs..(ty + 1) * bs];
-            for (tx, st) in row.iter().enumerate() {
-                acc[tx] = st.csub;
-            }
-            let ap = acc.as_mut_ptr();
-            let mut tx = 0;
-            // SAFETY: `acc` holds `bs ≤ 32` live lanes, `bt` spans the
-            // `bs²` `Bs` tile, and every offset keeps `tx + lanes ≤ bs`
-            // with `k < bs`.
-            unsafe {
-                while tx + 16 <= bs {
-                    let mut v0 = _mm256_loadu_pd(ap.add(tx));
-                    let mut v1 = _mm256_loadu_pd(ap.add(tx + 4));
-                    let mut v2 = _mm256_loadu_pd(ap.add(tx + 8));
-                    let mut v3 = _mm256_loadu_pd(ap.add(tx + 12));
-                    for (k, &a_k) in a_row.iter().enumerate() {
-                        let w = _mm256_set1_pd(a_k);
-                        let b = bt.add(k * bs + tx);
-                        v0 = _mm256_add_pd(v0, _mm256_mul_pd(w, _mm256_loadu_pd(b)));
-                        v1 = _mm256_add_pd(v1, _mm256_mul_pd(w, _mm256_loadu_pd(b.add(4))));
-                        v2 = _mm256_add_pd(v2, _mm256_mul_pd(w, _mm256_loadu_pd(b.add(8))));
-                        v3 = _mm256_add_pd(v3, _mm256_mul_pd(w, _mm256_loadu_pd(b.add(12))));
-                    }
-                    _mm256_storeu_pd(ap.add(tx), v0);
-                    _mm256_storeu_pd(ap.add(tx + 4), v1);
-                    _mm256_storeu_pd(ap.add(tx + 8), v2);
-                    _mm256_storeu_pd(ap.add(tx + 12), v3);
-                    tx += 16;
-                }
-                while tx + 4 <= bs {
-                    let mut v = _mm256_loadu_pd(ap.add(tx));
-                    for (k, &a_k) in a_row.iter().enumerate() {
-                        let w = _mm256_set1_pd(a_k);
-                        v = _mm256_add_pd(v, _mm256_mul_pd(w, _mm256_loadu_pd(bt.add(k * bs + tx))));
-                    }
-                    _mm256_storeu_pd(ap.add(tx), v);
-                    tx += 4;
-                }
-            }
-            while tx < bs {
-                let mut s = acc[tx];
-                for (k, &a_k) in a_row.iter().enumerate() {
-                    s += a_k * bs_tile[k * bs + tx];
-                }
-                acc[tx] = s;
-                tx += 1;
-            }
-            for (tx, st) in row.iter_mut().enumerate() {
-                st.csub = acc[tx];
-            }
-        }
-        let counts = ctx.counters();
-        let muls = (bs * bs2) as u64;
-        counts.flops += 2 * muls;
-        counts.shared_loads += 2 * muls;
-    }
-
-    /// Explicit-SIMD inner product (AVX-512): the AVX2 body's contract
-    /// at 8 lanes per vector.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn batch_mac_avx512(&self, states: &mut [DgemmState], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{
-            _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd,
-        };
-        let bs = self.cfg.bs;
-        let bs2 = bs * bs;
-        let (as_tile, bs_tile) = ctx.shared().split_at(bs2);
-        let bt = bs_tile.as_ptr();
-        let mut acc = [0.0f64; 32];
-        for ty in 0..bs {
-            let a_row = &as_tile[ty * bs..(ty + 1) * bs];
-            let row = &mut states[ty * bs..(ty + 1) * bs];
-            for (tx, st) in row.iter().enumerate() {
-                acc[tx] = st.csub;
-            }
-            let ap = acc.as_mut_ptr();
-            let mut tx = 0;
-            // SAFETY: `acc` holds `bs ≤ 32` live lanes, `bt` spans the
-            // `bs²` `Bs` tile, and every offset keeps `tx + lanes ≤ bs`
-            // with `k < bs`.
-            unsafe {
-                while tx + 16 <= bs {
-                    let mut v0 = _mm512_loadu_pd(ap.add(tx));
-                    let mut v1 = _mm512_loadu_pd(ap.add(tx + 8));
-                    for (k, &a_k) in a_row.iter().enumerate() {
-                        let w = _mm512_set1_pd(a_k);
-                        let b = bt.add(k * bs + tx);
-                        v0 = _mm512_add_pd(v0, _mm512_mul_pd(w, _mm512_loadu_pd(b)));
-                        v1 = _mm512_add_pd(v1, _mm512_mul_pd(w, _mm512_loadu_pd(b.add(8))));
-                    }
-                    _mm512_storeu_pd(ap.add(tx), v0);
-                    _mm512_storeu_pd(ap.add(tx + 8), v1);
-                    tx += 16;
-                }
-                while tx + 8 <= bs {
-                    let mut v = _mm512_loadu_pd(ap.add(tx));
-                    for (k, &a_k) in a_row.iter().enumerate() {
-                        let w = _mm512_set1_pd(a_k);
-                        v = _mm512_add_pd(v, _mm512_mul_pd(w, _mm512_loadu_pd(bt.add(k * bs + tx))));
-                    }
-                    _mm512_storeu_pd(ap.add(tx), v);
-                    tx += 8;
-                }
-            }
-            while tx < bs {
-                let mut s = acc[tx];
-                for (k, &a_k) in a_row.iter().enumerate() {
-                    s += a_k * bs_tile[k * bs + tx];
-                }
-                acc[tx] = s;
-                tx += 1;
-            }
-            for (tx, st) in row.iter_mut().enumerate() {
-                st.csub = acc[tx];
-            }
-        }
-        let counts = ctx.counters();
-        let muls = (bs * bs2) as u64;
-        counts.flops += 2 * muls;
-        counts.shared_loads += 2 * muls;
-    }
-
-    /// Explicit-SIMD retire (AVX2): vectorized `C += Csub` row
-    /// read-modify-writes; one add per element, same order as scalar.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn batch_retire_avx2(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_storeu_pd};
-        let (n, bs) = (self.cfg.n, self.cfg.bs);
-        let base = n * bs * ctx.by + bs * ctx.bx;
         let mut csub = [0.0f64; 32];
         for ty in 0..bs {
-            let row = &states[ty * bs..(ty + 1) * bs];
-            for (tx, st) in row.iter().enumerate() {
-                csub[tx] = st.csub;
+            for (v, st) in csub.iter_mut().zip(&states[ty * bs..][..bs]) {
+                *v = st.csub;
             }
-            let c_row = self.c.range_ptr(base + n * ty, bs);
-            let sp = csub.as_ptr();
-            let mut tx = 0;
-            // SAFETY: `c_row` is a `range_ptr`-checked `bs`-length row,
-            // `csub` holds `bs ≤ 32` live lanes, and `tx + lanes ≤ bs`.
-            unsafe {
-                while tx + 4 <= bs {
-                    let prev = _mm256_loadu_pd(c_row.add(tx));
-                    let s = _mm256_loadu_pd(sp.add(tx));
-                    _mm256_storeu_pd(c_row.add(tx), _mm256_add_pd(prev, s));
-                    tx += 4;
-                }
-                while tx < bs {
-                    *c_row.add(tx) += csub[tx];
-                    tx += 1;
-                }
-            }
-        }
-        let counts = ctx.counters();
-        counts.global_loads += (bs * bs) as u64;
-        counts.global_stores += (bs * bs) as u64;
-    }
-
-    /// Explicit-SIMD retire (AVX-512): 8-lane `C += Csub`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn batch_retire_avx512(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
-        use core::arch::x86_64::{_mm512_add_pd, _mm512_loadu_pd, _mm512_storeu_pd};
-        let (n, bs) = (self.cfg.n, self.cfg.bs);
-        let base = n * bs * ctx.by + bs * ctx.bx;
-        let mut csub = [0.0f64; 32];
-        for ty in 0..bs {
-            let row = &states[ty * bs..(ty + 1) * bs];
-            for (tx, st) in row.iter().enumerate() {
-                csub[tx] = st.csub;
-            }
-            let c_row = self.c.range_ptr(base + n * ty, bs);
-            let sp = csub.as_ptr();
-            let mut tx = 0;
-            // SAFETY: `c_row` is a `range_ptr`-checked `bs`-length row,
-            // `csub` holds `bs ≤ 32` live lanes, and `tx + lanes ≤ bs`.
-            unsafe {
-                while tx + 8 <= bs {
-                    let prev = _mm512_loadu_pd(c_row.add(tx));
-                    let s = _mm512_loadu_pd(sp.add(tx));
-                    _mm512_storeu_pd(c_row.add(tx), _mm512_add_pd(prev, s));
-                    tx += 8;
-                }
-                while tx < bs {
-                    *c_row.add(tx) += csub[tx];
-                    tx += 1;
-                }
-            }
+            self.c.add_row(base + n * ty, &csub[..bs]);
         }
         let counts = ctx.counters();
         counts.global_loads += (bs * bs) as u64;
@@ -820,7 +454,7 @@ impl BlockKernel for DgemmKernel<'_> {
                 if let Some(t) = ctx.trace() {
                     self.trace_stage(states[0].ai, states[0].bi, t);
                 }
-                self.stage_dispatch(states, ctx);
+                self.batch_stage(states, ctx);
                 for st in states.iter_mut() {
                     st.step = Step::Mac;
                 }
@@ -830,7 +464,7 @@ impl BlockKernel for DgemmKernel<'_> {
                 if let Some(t) = ctx.trace() {
                     self.trace_mac(t);
                 }
-                self.mac_dispatch(states, ctx);
+                self.batch_mac(states, ctx);
                 for st in states.iter_mut() {
                     st.tile += 1;
                     st.ai += bs;
@@ -844,7 +478,7 @@ impl BlockKernel for DgemmKernel<'_> {
                 if let Some(t) = ctx.trace() {
                     self.trace_retire(bx, by, t);
                 }
-                self.retire_dispatch(states, ctx);
+                self.batch_retire(states, ctx);
                 let product = states[0].product + 1;
                 if product == g * r {
                     for st in states.iter_mut() {
@@ -867,7 +501,7 @@ impl BlockKernel for DgemmKernel<'_> {
                     if let Some(t) = ctx.trace() {
                         self.trace_stage(ai, bi, t);
                     }
-                    self.stage_dispatch(states, ctx);
+                    self.batch_stage(states, ctx);
                     for st in states.iter_mut() {
                         st.step = Step::Mac;
                     }
@@ -880,6 +514,36 @@ impl BlockKernel for DgemmKernel<'_> {
             }
         }
     }
+}
+
+/// Advances threads `tx..` of one row (`row`, `BS` states; `a_row` its
+/// `As` row, `b_tile` the `BS × BS` `Bs` tile) through the tile's inner
+/// product, `L` threads at a time while `L` fit, and returns the first
+/// thread not advanced. The `L` accumulators stay in registers across the
+/// `k` loop, and each lane adds `a_row[k] * Bs[k][tx + l]` to its own
+/// chain in ascending `k`, exactly the scalar thread's operations.
+#[inline(always)]
+fn mac_lanes<const L: usize>(
+    a_row: &[f64],
+    b_tile: &[f64],
+    row: &mut [DgemmState],
+    mut tx: usize,
+) -> usize {
+    let bs = row.len();
+    while tx + L <= bs {
+        let lanes = &mut row[tx..tx + L];
+        let mut acc: [f64; L] = std::array::from_fn(|l| lanes[l].csub);
+        for (k, &a) in a_row.iter().enumerate() {
+            for (x, &b) in acc.iter_mut().zip(&b_tile[k * bs + tx..][..L]) {
+                *x += a * b;
+            }
+        }
+        for (st, v) in lanes.iter_mut().zip(acc) {
+            st.csub = v;
+        }
+        tx += L;
+    }
+    tx
 }
 
 /// One device matrix product on the legacy engine — the body of `dgemmG1`
@@ -998,11 +662,8 @@ mod tests {
         let run_with = |wave: usize| {
             let av = filled(64, 1);
             let bv = filled(64, 2);
-            let (a, b, c) = (
-                GlobalMem::from_slice(&av),
-                GlobalMem::from_slice(&bv),
-                GlobalMem::zeroed(64),
-            );
+            let (a, b, c) =
+                (GlobalMem::from_slice(&av), GlobalMem::from_slice(&bv), GlobalMem::zeroed(64));
             let emu = EmuDgemm::new(TiledDgemmConfig { n: 8, bs: 2, g: 2, r: 2 })
                 .with_wave(WavePlan::fixed(wave));
             let ev = emu.run(&a, &b, &c);

@@ -13,15 +13,16 @@
 //!   exactly across `BS ∈ {1, 4, 16, 32}`;
 //! * a kernel whose threads disagree on phase count fails loudly — the
 //!   deadlock-detection property the old `Barrier` gave us for free;
-//! * the batched SoA phase bodies (PR 7) are bitwise-identical to the
-//!   scalar per-thread loop — results *and* flushed counter totals — for
-//!   every valid `BS` at N = 64 and N = 128, at 1/2/8 worker threads,
-//!   and under proptest-randomized block shapes.
+//! * the batched SoA phase bodies are bitwise-identical to the scalar
+//!   per-thread loop — results *and* flushed counter totals — for every
+//!   valid `BS` at N = 64 and N = 128, for every `BS ∈ 1..=32` at
+//!   N = 2·BS, at 1/2/8 worker threads, and under proptest-randomized
+//!   block shapes.
 
 use enprop_gpusim::cupti::{CuptiCounter, CuptiReport};
 use enprop_gpusim::emulator::{
     AccessSink, BlockKernel, Dim2, EmuDgemm, EmuRowFft, EventCounters, GlobalMem, PhaseCtx,
-    PhaseOutcome, SimdPath, WavePlan,
+    PhaseOutcome, WavePlan,
 };
 use enprop_gpusim::TiledDgemmConfig;
 
@@ -170,11 +171,8 @@ fn flushed_block_counters_reproduce_analytic_cupti_counts() {
         for &(g, r) in &[(1usize, 1usize), (2, 1), (1, 2)] {
             let av = filled(n * n, 61);
             let bv = filled(n * n, 62);
-            let (a, b, c) = (
-                GlobalMem::from_slice(&av),
-                GlobalMem::from_slice(&bv),
-                GlobalMem::zeroed(n * n),
-            );
+            let (a, b, c) =
+                (GlobalMem::from_slice(&av), GlobalMem::from_slice(&bv), GlobalMem::zeroed(n * n));
             let cfg = TiledDgemmConfig { n, bs, g, r };
             let ev = EmuDgemm::new(cfg).run(&a, &b, &c);
             let rep = CuptiReport::of(&cfg);
@@ -308,14 +306,32 @@ fn dgemm_batched_equals_scalar_for_every_valid_bs_at_n128() {
 }
 
 #[test]
+fn dgemm_batched_equals_scalar_for_every_bs_on_a_2x2_grid() {
+    // Only power-of-two BS divide 64 and 128, so only they reach the
+    // batched inner product there. Every BS here, at G = R = 2, mixes the
+    // 16/8/4/1-lane blocks differently (28 = 16 + 8 + 4,
+    // 31 = 16 + 8 + 4 + 1 + 1 + 1) and crosses the run-boundary restage.
+    for bs in 1..=32 {
+        assert_dgemm_batched_equals_scalar(
+            TiledDgemmConfig { n: 2 * bs, bs, g: 2, r: 2 },
+            WavePlan::auto(),
+        );
+    }
+}
+
+#[test]
 fn dgemm_batched_equals_scalar_for_compound_workloads() {
     // G > 1 exercises the multi-product group retire path; R > 1 the
     // separator-barrier path; both cross the run-boundary restage.
-    for &(n, bs, g, r) in &[(64usize, 16usize, 2usize, 1usize), (64, 16, 1, 2), (32, 8, 2, 2)] {
-        assert_dgemm_batched_equals_scalar(
-            TiledDgemmConfig { n, bs, g, r },
-            WavePlan::auto(),
-        );
+    // (12, 3): a row narrower than one 4-lane block.
+    for &(n, bs, g, r) in &[
+        (64usize, 16usize, 2usize, 1usize),
+        (64, 16, 1, 2),
+        (32, 8, 2, 2),
+        (12, 3, 1, 1),
+        (32, 8, 2, 1),
+    ] {
+        assert_dgemm_batched_equals_scalar(TiledDgemmConfig { n, bs, g, r }, WavePlan::auto());
     }
 }
 
@@ -341,64 +357,6 @@ fn fft_batched_equals_scalar_at_1_2_8_threads() {
     for &w in &[1usize, 2, 8] {
         assert_fft_batched_equals_scalar(64, 4, WavePlan::fixed(w));
     }
-}
-
-// ---------------------------------------------------------------------
-// Forced-fallback SIMD equivalence. The DGEMM's explicit-SIMD batch
-// bodies are pinned to each ISA tier the host supports via `with_simd`
-// and compared against the scalar interpreter loop — bitwise memory AND
-// flushed counters. `SimdPath::available()` returns only host-supported
-// tiers, so this sweeps exactly what can run here; on an AVX-512 host
-// that is scalar-sse2, avx2 and avx512. The row FFT has one batched body,
-// which the `fft_batched_equals_scalar_*` tests above cover.
-// ---------------------------------------------------------------------
-
-/// One DGEMM config at a pinned SIMD tier vs the scalar interpreter loop.
-fn assert_dgemm_simd_tier_equals_scalar(cfg: TiledDgemmConfig, path: SimdPath) {
-    let n = cfg.n;
-    let av = filled(n * n, 91);
-    let bv = filled(n * n, 92);
-    let cv = filled(n * n, 93);
-    let emu = EmuDgemm::new(cfg).with_simd(path);
-
-    let (a1, b1, c1) =
-        (GlobalMem::from_slice(&av), GlobalMem::from_slice(&bv), GlobalMem::from_slice(&cv));
-    let tier_ev = emu.run(&a1, &b1, &c1);
-
-    let (a2, b2, c2) =
-        (GlobalMem::from_slice(&av), GlobalMem::from_slice(&bv), GlobalMem::from_slice(&cv));
-    let scalar_ev = emu.run_unbatched(&a2, &b2, &c2);
-
-    let bits = |m: &GlobalMem| m.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let TiledDgemmConfig { n, bs, g, r } = cfg;
-    assert_eq!(bits(&c1), bits(&c2), "n={n} bs={bs} g={g} r={r} {path}: memory diverged");
-    assert_eq!(tier_ev, scalar_ev, "n={n} bs={bs} g={g} r={r} {path}: counters diverged");
-}
-
-#[test]
-fn dgemm_every_simd_tier_equals_scalar() {
-    // Lane-multiple BS (16), sub-lane BS (3, shorter than one AVX2
-    // vector), and compound G/R shapes crossing the run-boundary restage.
-    for path in SimdPath::available() {
-        for &(n, bs, g, r) in &[
-            (64usize, 16usize, 1usize, 1usize),
-            (12, 3, 1, 1),
-            (64, 16, 2, 2),
-            (32, 8, 2, 1),
-        ] {
-            assert_dgemm_simd_tier_equals_scalar(TiledDgemmConfig { n, bs, g, r }, path);
-        }
-    }
-}
-
-#[test]
-fn with_simd_pins_are_clamped_to_host_support() {
-    // Requesting a tier above what the host supports must clamp, never
-    // crash: the emulator still runs and still matches scalar.
-    let cfg = TiledDgemmConfig { n: 16, bs: 4, g: 1, r: 1 };
-    let pinned = EmuDgemm::new(cfg).with_simd(SimdPath::Avx512);
-    assert!(pinned.simd() <= SimdPath::detect());
-    assert_dgemm_simd_tier_equals_scalar(cfg, SimdPath::Avx512);
 }
 
 mod batched_proptests {
@@ -448,25 +406,5 @@ mod batched_proptests {
             assert_fft_batched_equals_scalar(n, rows, plan);
         }
 
-        /// Random shapes at a *pinned* SIMD tier: whichever tier the
-        /// selector lands on among the host-supported ones must stay
-        /// bitwise-identical to the scalar interpreter loop.
-        #[test]
-        fn dgemm_pinned_simd_tier_equals_scalar_for_random_shapes(
-            n_pow in 3u32..8,             // N ∈ {8, ..., 128}
-            bs_sel in 0usize..8,
-            g in 1usize..3,
-            tier_sel in 0usize..3,
-        ) {
-            let n = 1usize << n_pow;
-            let divisors = valid_bs(n);
-            let bs = divisors[bs_sel % divisors.len()];
-            let tiers = SimdPath::available();
-            let path = tiers[tier_sel % tiers.len()];
-            assert_dgemm_simd_tier_equals_scalar(
-                TiledDgemmConfig { n, bs, g, r: 1 },
-                path,
-            );
-        }
     }
 }

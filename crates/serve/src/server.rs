@@ -55,7 +55,7 @@ use crate::cache::{content_hash, Lookup, ResultCache};
 use crate::http::{read_request, write_response, ChunkedWriter, Request};
 use enprop_apps::parallel::SweepExecutor;
 use enprop_apps::GpuMatMulApp;
-use enprop_gpusim::{GpuArch, ProductProfile};
+use enprop_gpusim::GpuArch;
 use enprop_pareto::front::BiPoint;
 use enprop_pareto::incremental::FrontTracker;
 use serde::{Serialize, Value};
@@ -130,8 +130,12 @@ impl SweepRequest {
         let value = serde_json::parse(text).map_err(|e| format!("body is not JSON: {e}"))?;
         let field_u64 = |name: &str, default: Option<u64>| -> Result<u64, String> {
             match value.field(name) {
-                Ok(Value::UInt(v)) => u64::try_from(*v).map_err(|_| format!("`{name}` out of range")),
-                Ok(Value::Int(v)) => u64::try_from(*v).map_err(|_| format!("`{name}` must be non-negative")),
+                Ok(Value::UInt(v)) => {
+                    u64::try_from(*v).map_err(|_| format!("`{name}` out of range"))
+                }
+                Ok(Value::Int(v)) => {
+                    u64::try_from(*v).map_err(|_| format!("`{name}` must be non-negative"))
+                }
                 Ok(other) => Err(format!("`{name}` must be an integer, found {}", other.kind())),
                 Err(e) => default.ok_or_else(|| e.to_string()),
             }
@@ -441,9 +445,8 @@ fn shed(state: &ServerState, mut stream: TcpStream) {
 
 /// JSON error body: `{"error": KIND, "detail": TEXT}`.
 fn error_body(kind: &str, detail: &str) -> Vec<u8> {
-    let escape = |s: &str| {
-        serde_json::to_string(&s).unwrap_or_else(|_| "\"<unrenderable>\"".to_string())
-    };
+    let escape =
+        |s: &str| serde_json::to_string(&s).unwrap_or_else(|_| "\"<unrenderable>\"".to_string());
     format!("{{\"error\":{},\"detail\":{}}}", escape(kind), escape(detail)).into_bytes()
 }
 
@@ -492,25 +495,13 @@ fn handle_request(state: &Arc<ServerState>, stream: &mut TcpStream) {
 fn route(state: &Arc<ServerState>, stream: &mut TcpStream, request: &Request) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                &[("Content-Type", "text/plain")],
-                b"ok\n",
-            );
+            let _ = write_response(stream, 200, "OK", &[("Content-Type", "text/plain")], b"ok\n");
         }
         ("GET", "/stats") => {
-            let body = serde_json::to_string_pretty(&snapshot(state))
-                .unwrap_or_default()
-                .into_bytes();
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                &[("Content-Type", "application/json")],
-                &body,
-            );
+            let body =
+                serde_json::to_string_pretty(&snapshot(state)).unwrap_or_default().into_bytes();
+            let _ =
+                write_response(stream, 200, "OK", &[("Content-Type", "application/json")], &body);
         }
         ("POST", "/sweep") => serve_sweep(state, stream, request),
         (_, "/sweep") => {
@@ -683,26 +674,10 @@ fn compute_streaming(
     cache_state: &str,
     key_hash: &str,
 ) -> Vec<u8> {
-    let configs = app.configs(request.n);
-    let total = configs.len();
     // The estimate side of the measurement is deterministic; compute it
-    // once per configuration with the one-deep ProductProfile memo (the
-    // enumeration is BS-major, so consecutive configurations share BS).
-    let mut profile: Option<ProductProfile> = None;
-    let estimates: Vec<_> = configs
-        .iter()
-        .map(|cfg| {
-            let p = match profile {
-                Some(p) if p.bs == cfg.bs => p,
-                _ => {
-                    let p = app.model().product_profile(request.n, cfg.bs);
-                    profile = Some(p);
-                    p
-                }
-            };
-            app.model().estimate_from_profile(&p, cfg.g, cfg.r)
-        })
-        .collect();
+    // once per configuration.
+    let (configs, estimates): (Vec<_>, Vec<_>) = app.estimates(request.n).into_iter().unzip();
+    let total = configs.len();
 
     let threads = if state.config.threads == 0 {
         enprop_par::host_parallelism()
@@ -777,10 +752,7 @@ fn compute_streaming(
 
     let final_line = SweepFinal {
         done: true,
-        workload: format!(
-            "gpu-matmul/{}/N={}/P={}",
-            request.arch, request.n, request.products
-        ),
+        workload: format!("gpu-matmul/{}/N={}/P={}", request.arch, request.n, request.products),
         total,
         front: render_front(&tracker, &configs),
         points,
@@ -815,17 +787,15 @@ mod tests {
 
     #[test]
     fn request_parsing_validates() {
-        let ok = SweepRequest::from_json(
-            br#"{"arch":"k40c","n":256,"products":2,"seed":7,"chunk":4}"#,
-        )
-        .unwrap();
+        let ok =
+            SweepRequest::from_json(br#"{"arch":"k40c","n":256,"products":2,"seed":7,"chunk":4}"#)
+                .unwrap();
         assert_eq!(ok.arch, "k40c");
         assert_eq!((ok.n, ok.products, ok.seed, ok.chunk), (256, 2, 7, 4));
         assert!(!ok.no_cache);
 
         // Defaults: seed 42, chunk 32.
-        let defaults =
-            SweepRequest::from_json(br#"{"arch":"p100","n":512,"products":4}"#).unwrap();
+        let defaults = SweepRequest::from_json(br#"{"arch":"p100","n":512,"products":4}"#).unwrap();
         assert_eq!((defaults.seed, defaults.chunk), (42, 32));
 
         for (body, expect) in [
