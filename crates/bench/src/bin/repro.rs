@@ -71,10 +71,12 @@
 //!   parallel speedup ≥ 1.5× at ≥ 4 threads on a host with ≥ 4 cores;
 //! * `emulator_dgemm` — one serial-wave tiled-DGEMM fixture (N = 256,
 //!   BS = 16) through the scalar interpreter, the batched SoA bodies and
-//!   full monitoring: every output and counter bitwise equal to the
-//!   scalar run's, no findings, bulk findings equal to a per-access
-//!   monitored run's, every self-test fixture caught by its checker
-//!   alone; batched ≥ 2× scalar, monitoring ≤ 8× the scalar run;
+//!   full monitoring, plus a tiny-block fixture (N = 64, BS = 1) batched
+//!   and monitored: every output and counter bitwise equal to the scalar
+//!   (tiny: batched) run's, no findings, bulk findings equal to a
+//!   per-access monitored run's, every self-test fixture caught by its
+//!   checker alone; batched ≥ 2× scalar, monitoring ≤ 8× the scalar run,
+//!   tiny monitoring ≤ 4× tiny batched;
 //! * `host_kernels` — the packed DGEMM against the unpacked baseline
 //!   (within 1e-8, ≥ 1.5×), and it and the 2-D FFT against their
 //!   multi-threaded forms: bitwise identity at 1/2/8 threads, ≥ 1.3× at 8
@@ -803,7 +805,11 @@ fn bench_sweep(threads: Option<usize>, host_cores: usize) -> SweepBench {
 
 /// The `emulator_dgemm` section: one serial-wave tiled-DGEMM fixture
 /// (N = 256, BS = 16: a 16 × 16 grid of 256-thread blocks) run three ways
-/// in each round, every ratio taken against the same round's scalar run.
+/// in each round, every ratio taken against the same round's scalar run;
+/// and in the same rounds a tiny-block fixture (N = 64, BS = 1: 4096
+/// one-thread blocks of 129 phases each), batched and monitored, where the
+/// interpreter's and monitor's fixed costs per phase and per block are
+/// most of the time.
 #[derive(serde::Serialize)]
 struct EmulatorDgemm {
     workload: String,
@@ -834,6 +840,16 @@ struct EmulatorDgemm {
     /// equal `selftest_total`.
     selftest_caught: usize,
     selftest_total: usize,
+    tiny_workload: String,
+    /// The tiny fixture's batched bodies, uninstrumented, median seconds.
+    tiny_batched_secs: f64,
+    /// The tiny fixture with every block under the monitor.
+    tiny_monitored_secs: f64,
+    /// `tiny monitored / tiny batched` per round: gated <= 4x.
+    tiny_monitored_overhead: Spread,
+    /// The tiny monitored run left output and counters bitwise equal to
+    /// the tiny batched run and reported no finding.
+    tiny_identical: bool,
 }
 
 impl Section for EmulatorDgemm {
@@ -874,6 +890,17 @@ impl Section for EmulatorDgemm {
             format!(
                 "monitoring overhead {} over the scalar interpreter exceeds 8x",
                 self.monitored_overhead
+            ),
+        );
+        f.require(
+            self.tiny_identical,
+            "the tiny-block monitored run diverged from its batched run or reported findings",
+        );
+        f.bound(
+            self.tiny_monitored_overhead.median <= 4.0,
+            format!(
+                "tiny-block monitoring overhead {} over the batched bodies exceeds 4x",
+                self.tiny_monitored_overhead
             ),
         );
         f.failed
@@ -925,33 +952,49 @@ fn monitored_dgemm<S: AccessSink>(
     (secs, Monitored { output: (bits(&c), events), outcome: monitor.finish() })
 }
 
-fn bench_emulator_dgemm() -> EmulatorDgemm {
-    let (n, bs) = (256usize, 16usize);
-    let tiles = n / bs;
+/// A serial-wave DGEMM launch of `N = n`, `BS = bs`, `G = R = 1` with its
+/// `A` and `B` inputs.
+fn dgemm_fixture(n: usize, bs: usize) -> (EmuDgemm, GlobalMem, GlobalMem) {
     let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g: 1, r: 1 }).with_wave(WavePlan::fixed(1));
     let host_a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
     let host_b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let (a, b) = (GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b));
-    let plain = |emu: &EmuDgemm, batched: bool| {
-        let c = GlobalMem::zeroed(n * n);
-        let (secs, events) =
-            timed(|| if batched { emu.run(&a, &b, &c) } else { emu.run_unbatched(&a, &b, &c) });
-        (secs, (bits(&c), events))
-    };
+    (emu, GlobalMem::from_slice(&host_a), GlobalMem::from_slice(&host_b))
+}
+
+/// One uninstrumented launch of `emu` on a fresh C: seconds and output.
+fn plain_dgemm(emu: &EmuDgemm, a: &GlobalMem, b: &GlobalMem, batched: bool) -> (f64, Output) {
+    let n = emu.config().n;
+    let c = GlobalMem::zeroed(n * n);
+    let (secs, events) =
+        timed(|| if batched { emu.run(a, b, &c) } else { emu.run_unbatched(a, b, &c) });
+    (secs, (bits(&c), events))
+}
+
+fn bench_emulator_dgemm() -> EmulatorDgemm {
+    let (n, bs) = (256usize, 16usize);
+    let tiles = n / bs;
+    let (emu, a, b) = dgemm_fixture(n, bs);
+    let (tiny, tiny_a, tiny_b) = dgemm_fixture(64, 1);
 
     let (mut scalar, mut batched, mut monitored) = (None, None, None);
+    let (mut tiny_batched, mut tiny_monitored) = (None, None);
     let times = time_rounds(
         ROUNDS,
         &mut [
-            &mut || keep(&mut scalar, plain(&emu, false)),
-            &mut || keep(&mut batched, plain(&emu, true)),
+            &mut || keep(&mut scalar, plain_dgemm(&emu, &a, &b, false)),
+            &mut || keep(&mut batched, plain_dgemm(&emu, &a, &b, true)),
             &mut || keep(&mut monitored, monitored_dgemm(&emu, &a, &b, |s| s)),
+            &mut || keep(&mut tiny_batched, plain_dgemm(&tiny, &tiny_a, &tiny_b, true)),
+            &mut || keep(&mut tiny_monitored, monitored_dgemm(&tiny, &tiny_a, &tiny_b, |s| s)),
         ],
     );
     let per_access = monitored_dgemm(&emu, &a, &b, ForceScalar).1;
-    let [scalar, batched] = [scalar, batched].map(|out| out.expect("rounds ran"));
-    let monitored = monitored.expect("rounds ran");
+    let [scalar, batched, tiny_batched] =
+        [scalar, batched, tiny_batched].map(|out| out.expect("rounds ran"));
+    let [monitored, tiny_monitored] =
+        [monitored, tiny_monitored].map(|out| out.expect("rounds ran"));
     let corpus = enprop_sanitize::fixtures::self_test();
+    let tiny_cfg = tiny.config();
 
     EmulatorDgemm {
         workload: format!("tiled DGEMM (N = {n}, BS = {bs}, G = 1, R = 1), serial waves"),
@@ -969,6 +1012,16 @@ fn bench_emulator_dgemm() -> EmulatorDgemm {
             && monitored.outcome.suppressed == per_access.outcome.suppressed,
         selftest_caught: corpus.iter().filter(|(expected, rep)| caught(*expected, rep)).count(),
         selftest_total: corpus.len(),
+        tiny_workload: format!(
+            "tiled DGEMM (N = {}, BS = {}, G = 1, R = 1), serial waves",
+            tiny_cfg.n, tiny_cfg.bs
+        ),
+        tiny_batched_secs: times.median(3),
+        tiny_monitored_secs: times.median(4),
+        tiny_monitored_overhead: times.ratio(4, 3),
+        tiny_identical: tiny_monitored.output == tiny_batched
+            && tiny_monitored.outcome.findings.is_empty()
+            && tiny_monitored.outcome.suppressed == 0,
     }
 }
 
@@ -1889,6 +1942,11 @@ mod tests {
             findings_identical: true,
             selftest_caught: 4,
             selftest_total: 4,
+            tiny_workload: String::new(),
+            tiny_batched_secs: 0.005,
+            tiny_monitored_secs: 0.015,
+            tiny_monitored_overhead: flat(3.0),
+            tiny_identical: true,
         }
     }
 
@@ -2046,6 +2104,10 @@ mod tests {
         e.monitored_overhead = flat(8.65);
         e.findings_identical = false;
         assert_fails(&e, "per-access", "exceeds 8x");
+        let mut e = emulator_dgemm();
+        e.tiny_monitored_overhead = flat(4.1);
+        e.tiny_identical = false;
+        assert_fails(&e, "tiny-block monitored run diverged", "exceeds 4x");
     }
 
     #[test]

@@ -142,10 +142,9 @@ pub trait AccessSink {
     const INERT: bool = false;
 
     /// Whether this sink consumes per-phase **bulk** access records
-    /// ([`observe_shared_batch`](AccessSink::observe_shared_batch) /
-    /// [`observe_global_batch`](AccessSink::observe_global_batch)),
-    /// letting kernels with batched phase bodies run under monitoring
-    /// without falling back to the scalar interpreter.
+    /// ([`observe_phase`](AccessSink::observe_phase)), letting kernels
+    /// with batched phase bodies run under monitoring without falling
+    /// back to the scalar interpreter.
     ///
     /// A bulk sink observes the same accesses with the same
     /// block/thread/phase attribution, but *after* the phase body ran
@@ -169,46 +168,69 @@ pub trait AccessSink {
     /// A global-memory store to `idx` of allocation `buf` (length `len`).
     fn global_store(&mut self, at: AccessPoint, buf: BufId, idx: usize, len: usize) -> bool;
 
-    /// Consumes one batched phase's shared-memory access records (block
-    /// `(bx, by)`, barrier phase `phase`, shared allocation length `len`).
+    /// Whether the next batched phase must record its shared loads one by
+    /// one. The batched interpreter asks a bulk sink before the batched
+    /// phases of a block until it first answers `false`, so the answer
+    /// may go from `true` to `false` within a block but not back; the
+    /// kernel reads it through [`BatchCtx::shared_loads_wanted`].
     ///
-    /// Records arrive in scalar program order per thread, threads in
-    /// row-major order — the same per-cell access order the scalar loop
-    /// would have reported. Each call carries one **whole** phase: no
-    /// other shared access of that block and phase reaches the sink,
-    /// before or after, so a sink may conclude from the batch alone that
-    /// a phase without stores, or with one accessing thread, has no
-    /// shared race. The default
-    /// implementation replays each record through the scalar hooks (veto
-    /// answers are ignored; see [`AccessSink::BULK`]).
-    fn observe_shared_batch(
+    /// On `false`, a phase without shared stores may report its loads as
+    /// one [`LoadRange`] (every load lies in it) instead of one record
+    /// each. Answer `false` only when such a phase can fail no check but
+    /// the bounds check. The race monitor does so once every shared cell
+    /// of the block has been written: a race needs a store in the phase,
+    /// and an uninitialized read needs an unwritten cell. Phases with
+    /// shared stores, and every access of a sink that is not
+    /// [`BULK`](AccessSink::BULK) (which takes the scalar hooks), are
+    /// reported access by access whatever the answer. The default asks
+    /// for every load.
+    #[inline(always)]
+    fn wants_shared_loads(&self) -> bool {
+        true
+    }
+
+    /// Consumes one batched phase's access trace (block `(bx, by)`,
+    /// barrier phase `phase`, shared allocation length `shared_len`):
+    /// called once per batched phase that made any access.
+    ///
+    /// Shared records arrive in scalar program order per thread, threads
+    /// in row-major order — the same per-cell access order the scalar
+    /// loop would have reported. Global records come in per-buffer runs
+    /// (each run names the allocation and its length), each run in that
+    /// same order; per-buffer shadow state is independent, so regrouping
+    /// by buffer is unobservable. The call carries one **whole** phase:
+    /// no other access of that block and phase reaches the sink, before
+    /// or after, so a sink may conclude from the trace alone that a phase
+    /// without stores to a memory, or with one thread accessing it, has
+    /// no race on it.
+    ///
+    /// A phase without shared stores may carry its shared loads as one
+    /// [`LoadRange`] instead of records, but only when the sink answered
+    /// `false` to [`wants_shared_loads`](AccessSink::wants_shared_loads)
+    /// before the phase ran; the interpreter asserts both conditions.
+    ///
+    /// The default implementation replays every record through the
+    /// scalar hooks, shared records first (veto answers are ignored; see
+    /// [`AccessSink::BULK`]). It never sees a range, because the default
+    /// `wants_shared_loads` asks for every load.
+    fn observe_phase(
         &mut self,
         bx: usize,
         by: usize,
         phase: usize,
-        len: usize,
-        batch: &SharedBatch,
+        shared_len: usize,
+        trace: &PhaseTrace,
     ) {
-        for a in batch.iter() {
+        debug_assert!(trace.shared.load_range().is_none(), "a range needs a sink that handles it");
+        for a in trace.shared.iter() {
             let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
             if a.store {
-                self.shared_store(at, a.idx, len);
+                self.shared_store(at, a.idx, shared_len);
             } else {
-                self.shared_load(at, a.idx, len);
+                self.shared_load(at, a.idx, shared_len);
             }
         }
-    }
-
-    /// Consumes one batched phase's global-memory access records,
-    /// grouped into per-buffer runs (each run names the allocation and
-    /// its length). Within a run, records are in scalar program order
-    /// per thread, threads in row-major order; per-buffer shadow state
-    /// is independent, so regrouping by buffer is unobservable. As with
-    /// [`observe_shared_batch`](AccessSink::observe_shared_batch), each
-    /// call carries one whole phase. The default implementation replays
-    /// through the scalar hooks.
-    fn observe_global_batch(&mut self, bx: usize, by: usize, phase: usize, batch: &GlobalBatch) {
-        for run in batch.runs() {
+        for run in trace.global.runs() {
             for a in run.accesses() {
                 let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
                 if a.store {
@@ -264,13 +286,51 @@ fn decode_access(word: u64) -> BatchAccess {
 /// The batch also counts its stores as they are pushed, so a sink tells a
 /// store-free phase in O(1). Records are only pushed under a bulk sink, so
 /// the uninstrumented path never pays for the count.
+///
+/// A phase without shared stores may instead carry its loads as one
+/// [`LoadRange`], when the sink does not want them one by one (see
+/// [`AccessSink::wants_shared_loads`]).
 #[derive(Debug, Default)]
 pub struct SharedBatch {
     words: Vec<u64>,
     stores: usize,
+    range: Option<LoadRange>,
+}
+
+/// The shared loads of a phase without shared stores, as one index range
+/// instead of one record per load: every load of the phase reads a cell
+/// in `cells`.
+///
+/// For an allocation of `len` cells, a range with `cells.end <= len` has
+/// every load in bounds. Past that, the race monitor reports one
+/// out-of-bounds load of cell `cells.end − 1` by thread `last`, where the
+/// records would have given one finding per out-of-range load: a range
+/// proves a phase in bounds or names one witness. The batched bodies
+/// index their shared slice, which panics past its end, so for them the
+/// check guards the trace itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoadRange {
+    /// The loaded cells lie in this range.
+    pub cells: std::ops::Range<usize>,
+    /// `(tx, ty)` of the first thread, in record order, that loads cell
+    /// `cells.end − 1`.
+    pub last: (usize, usize),
 }
 
 impl SharedBatch {
+    /// Reports the phase's shared loads as `range` instead of records. Only
+    /// for a phase without shared stores, under a sink that does not want
+    /// its loads ([`BatchCtx::shared_loads_wanted`]).
+    pub fn set_load_range(&mut self, range: LoadRange) {
+        self.range = Some(range);
+    }
+
+    /// The loads carried as one range, if any.
+    #[inline]
+    pub fn load_range(&self) -> Option<&LoadRange> {
+        self.range.as_ref()
+    }
+
     /// Appends a load record for thread `(tx, ty)` at cell `idx`.
     #[inline(always)]
     pub fn push_load(&mut self, tx: usize, ty: usize, idx: usize) {
@@ -284,7 +344,7 @@ impl SharedBatch {
         self.stores += 1;
     }
 
-    /// Number of recorded accesses.
+    /// Number of access records (a load range counts none).
     pub fn len(&self) -> usize {
         self.words.len()
     }
@@ -293,6 +353,19 @@ impl SharedBatch {
     #[inline]
     pub fn stores(&self) -> usize {
         self.stores
+    }
+
+    /// Whether one thread made every recorded access (`true` when there
+    /// is none): with no other thread, the phase cannot race on shared
+    /// memory. Compares the records' packed thread fields, undecoded.
+    #[inline]
+    pub fn one_thread(&self) -> bool {
+        // The thread sits in bits 32..64 of a record word.
+        let thread = |w: &u64| w >> 32;
+        self.words
+            .first()
+            .map(thread)
+            .is_none_or(|first| self.words.iter().all(|w| thread(w) == first))
     }
 
     /// One past the largest recorded cell index (`0` when empty): every
@@ -319,15 +392,17 @@ impl SharedBatch {
         lanes.into_iter().chain(tail).max().map_or(0, |max| max as usize + 1)
     }
 
-    /// True when no access was recorded.
+    /// True when no access was recorded (a load range is not a record).
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
 
-    /// Drops all records, keeping the allocation for the next phase.
+    /// Drops all records and the range, keeping the allocation for the
+    /// next phase.
     pub fn clear(&mut self) {
         self.words.clear();
         self.stores = 0;
+        self.range = None;
     }
 
     /// Pre-sizes the record buffer for a phase of `n` accesses.
@@ -376,6 +451,7 @@ impl GlobalRun<'_> {
 
 impl GlobalBatch {
     /// Starts a run of records against `buf` (allocation length `len`).
+    #[inline]
     pub fn begin_run(&mut self, buf: BufId, len: usize) {
         self.runs.push((buf, len, self.words.len()));
     }
@@ -450,6 +526,12 @@ impl PhaseTrace {
     pub fn clear(&mut self) {
         self.shared.clear();
         self.global.clear();
+    }
+
+    /// True when the phase made no access to either memory: no record
+    /// and no load range.
+    pub fn is_empty(&self) -> bool {
+        self.shared.is_empty() && self.shared.range.is_none() && self.global.is_empty()
     }
 }
 
@@ -603,7 +685,9 @@ pub trait BlockKernel: Sync {
     /// phase into [`BatchCtx::trace`] with exact thread/index/kind
     /// attribution, or return `None` for that phase so the scalar loop
     /// reports the accesses itself. Silently computing without emitting
-    /// the trace would blind the sanitizer.
+    /// the trace would blind the sanitizer. The one exception: when
+    /// [`BatchCtx::shared_loads_wanted`] is `false`, a phase without
+    /// shared stores may give its shared loads as one [`LoadRange`].
     fn run_phase_batch(
         &self,
         phase: usize,
@@ -639,6 +723,8 @@ pub struct BatchCtx<'a> {
     /// Present when a bulk sink is attached: the body must record every
     /// access of the phase here (see [`BlockKernel::run_phase_batch`]).
     trace: Option<&'a mut PhaseTrace>,
+    /// The sink's [`AccessSink::wants_shared_loads`] answer for this phase.
+    shared_loads: bool,
 }
 
 impl BatchCtx<'_> {
@@ -661,6 +747,15 @@ impl BatchCtx<'_> {
     #[inline]
     pub fn trace(&mut self) -> Option<&mut PhaseTrace> {
         self.trace.as_deref_mut()
+    }
+
+    /// Whether the sink wants this phase's shared loads as records. When
+    /// `false`, a phase without shared stores may report its loads as one
+    /// [`LoadRange`] ([`SharedBatch::set_load_range`]) instead; see
+    /// [`AccessSink::wants_shared_loads`].
+    #[inline]
+    pub fn shared_loads_wanted(&self) -> bool {
+        self.shared_loads
     }
 
     /// The block's event counters, for bulk accounting. The batched body
@@ -827,9 +922,38 @@ impl Default for WavePlan {
     }
 }
 
+/// The buffers a block runs in, allocated once per launch (monitored) or
+/// per claimed band of blocks (block waves) and reset for each block:
+/// shared memory, the threads' states, their outcomes in the current
+/// phase, and the access-record buffers a bulk sink reads. At BS = 1 a
+/// block is a few hundred nanoseconds of work, so allocating these per
+/// block cost as much as some of its phases.
+struct BlockScratch<K: BlockKernel> {
+    shared: Vec<f64>,
+    states: Vec<K::State>,
+    /// Per-thread outcomes of the current phase, kept so a divergence can
+    /// name exactly which threads retired early (one byte write per thread
+    /// per phase — noise next to the phase body itself).
+    outcomes: Vec<PhaseOutcome>,
+    /// Written only under a bulk sink.
+    trace: PhaseTrace,
+}
+
+impl<K: BlockKernel> BlockScratch<K> {
+    fn new(kernel: &K) -> Self {
+        let threads = kernel.block().count();
+        Self {
+            shared: vec![0.0; kernel.shared_len()],
+            states: Vec::with_capacity(threads),
+            outcomes: vec![PhaseOutcome::Done; threads],
+            trace: PhaseTrace::default(),
+        }
+    }
+}
+
 /// Executes one block to retirement (or divergence) on the calling
-/// thread, reporting every access to `sink`, and flushes its event
-/// counts. The shared engine under both the plain and the monitored
+/// thread in `scratch`, reporting every access to `sink`, and flushes its
+/// event counts. The shared engine under both the plain and the monitored
 /// interpreters; with [`NoSink`] it monomorphizes to the uninstrumented
 /// hot path.
 fn exec_block<K: BlockKernel, S: AccessSink>(
@@ -838,25 +962,23 @@ fn exec_block<K: BlockKernel, S: AccessSink>(
     by: usize,
     events: &EventCounters,
     sink: &mut S,
+    scratch: &mut BlockScratch<K>,
 ) -> BlockExit {
     let block = kernel.block();
     let threads = block.count();
-    let mut shared = vec![0.0f64; kernel.shared_len()];
-    let mut counts = BlockCounters::default();
-    let mut states: Vec<K::State> = Vec::with_capacity(threads);
+    let BlockScratch { shared, states, outcomes, trace } = scratch;
+    // Shared memory starts zeroed in every block, as a fresh allocation
+    // would; states are rebuilt, outcomes are written before being read.
+    shared.fill(0.0);
+    states.clear();
     for ty in 0..block.y {
         for tx in 0..block.x {
             states.push(kernel.init(bx, by, tx, ty));
         }
     }
-
-    // Per-thread outcomes of the current phase, kept so a divergence can
-    // name exactly which threads retired early (one byte write per thread
-    // per phase — noise next to the phase body itself).
-    let mut outcomes = vec![PhaseOutcome::Done; threads];
-    // Access-record buffers for bulk sinks, reused across phases. Only
-    // materialized when the sink consumes bulk records.
-    let mut trace = if S::BULK { Some(PhaseTrace::default()) } else { None };
+    let mut counts = BlockCounters::default();
+    // A bulk sink's `wants_shared_loads`, asked until it first says no.
+    let mut shared_loads = true;
     let mut phase = 0usize;
     let exit = loop {
         // Batched fast path: when no sink is listening, or when the sink
@@ -866,31 +988,35 @@ fn exec_block<K: BlockKernel, S: AccessSink>(
         // batched body for this phase. A batched phase is uniform by
         // contract, so divergence bookkeeping is skipped entirely.
         if S::INERT || S::BULK {
-            if let Some(t) = trace.as_mut() {
-                t.clear();
+            if S::BULK {
+                shared_loads = shared_loads && sink.wants_shared_loads();
+                trace.clear();
             }
             let batched = {
                 let mut bctx = BatchCtx {
                     bx,
                     by,
                     phase,
-                    shared: &mut shared,
+                    shared,
                     counts: &mut counts,
-                    trace: trace.as_mut(),
+                    trace: if S::BULK { Some(&mut *trace) } else { None },
+                    shared_loads,
                 };
-                kernel.run_phase_batch(phase, &mut states, &mut bctx)
+                kernel.run_phase_batch(phase, states, &mut bctx)
             };
             if let Some(outcome) = batched {
                 if S::BULK {
-                    // Each batch holds every access of the phase to its
-                    // memory, and this is the phase's only call: sinks
-                    // rely on both (see `AccessSink::observe_shared_batch`).
-                    let t = trace.as_ref().expect("bulk sinks always carry a trace");
-                    if !t.shared.is_empty() {
-                        sink.observe_shared_batch(bx, by, phase, shared.len(), &t.shared);
-                    }
-                    if !t.global.is_empty() {
-                        sink.observe_global_batch(bx, by, phase, &t.global);
+                    // The trace holds every access of the phase, and this
+                    // is the phase's only call: sinks rely on both (see
+                    // `AccessSink::observe_phase`).
+                    let t = &*trace;
+                    assert!(
+                        t.shared.load_range().is_none() || !shared_loads && t.shared.stores() == 0,
+                        "a load range stands only for a store-free phase whose loads \
+                         the sink does not want"
+                    );
+                    if !t.is_empty() {
+                        sink.observe_phase(bx, by, phase, shared.len(), t);
                     }
                 }
                 if outcome == PhaseOutcome::Done {
@@ -910,7 +1036,7 @@ fn exec_block<K: BlockKernel, S: AccessSink>(
                     bx,
                     by,
                     phase,
-                    shared: &mut shared,
+                    shared,
                     counts: &mut counts,
                     sink: &mut *sink,
                 };
@@ -945,30 +1071,11 @@ fn exec_block<K: BlockKernel, S: AccessSink>(
     exit
 }
 
-/// Executes one block to retirement on the calling thread under a fresh
-/// default-constructed sink and flushes its event counts, panicking on
-/// barrier divergence (the plain interpreter's contract).
-fn run_block<K: BlockKernel, S: AccessSink + Default>(
-    kernel: &K,
-    bx: usize,
-    by: usize,
-    events: &EventCounters,
-) {
-    match exec_block(kernel, bx, by, events, &mut S::default()) {
-        BlockExit::Retired => {}
-        BlockExit::Diverged { phase, synced, returned } => panic!(
-            "__syncthreads divergence: at phase {phase} of block ({bx}, {by}), \
-             {} of {} threads reached the barrier while the rest \
-             returned — this kernel would deadlock on real hardware",
-            synced.len(),
-            synced.len() + returned.len()
-        ),
-    }
-}
-
 /// The shared engine behind [`run_grid`] and [`run_grid_unbatched`]: the
 /// sink type selects (at compile time, via [`AccessSink::INERT`]) whether
-/// kernels may take their batched fast path.
+/// kernels may take their batched fast path. Each block runs under a fresh
+/// default-constructed sink and panics on barrier divergence (the plain
+/// interpreter's contract).
 fn run_grid_with<K: BlockKernel, S: AccessSink + Default>(
     grid: Dim2,
     kernel: &K,
@@ -976,12 +1083,22 @@ fn run_grid_with<K: BlockKernel, S: AccessSink + Default>(
     plan: WavePlan,
 ) {
     // Chunked claiming: blocks of one launch cost about the same, so
-    // amortize claims over runs of blocks.
+    // amortize claims over runs of blocks, and one scratch over each run.
     let mut blocks: Vec<(usize, usize)> =
         (0..grid.y).flat_map(|by| (0..grid.x).map(move |bx| (bx, by))).collect();
     enprop_par::for_chunks(&mut blocks, 1, plan.width(), |_, run| {
+        let mut scratch = BlockScratch::new(kernel);
         for &(bx, by) in &*run {
-            run_block::<K, S>(kernel, bx, by, events);
+            let exit = exec_block(kernel, bx, by, events, &mut S::default(), &mut scratch);
+            if let BlockExit::Diverged { phase, synced, returned } = exit {
+                panic!(
+                    "__syncthreads divergence: at phase {phase} of block ({bx}, {by}), \
+                     {} of {} threads reached the barrier while the rest \
+                     returned — this kernel would deadlock on real hardware",
+                    synced.len(),
+                    synced.len() + returned.len()
+                );
+            }
         }
     });
 }
@@ -1034,10 +1151,11 @@ pub fn run_grid_monitored<K, S, MF, CF>(
     MF: FnMut(usize, usize) -> S,
     CF: FnMut(usize, usize, S, BlockExit),
 {
+    let mut scratch = BlockScratch::new(kernel);
     for by in 0..grid.y {
         for bx in 0..grid.x {
             let mut sink = make_sink(bx, by);
-            let exit = exec_block(kernel, bx, by, events, &mut sink);
+            let exit = exec_block(kernel, bx, by, events, &mut sink, &mut scratch);
             collect(bx, by, sink, exit);
         }
     }
@@ -1595,6 +1713,156 @@ mod tests {
         // 8 stores then 8 loads, exactly as the scalar loop reports them.
         assert_eq!(recs[0].shared.len(), 16);
         assert!(recs[0].shared[..8].iter().all(|(at, _, write)| at.phase == 0 && *write));
+    }
+
+    /// Each thread reads its shared cell before any write, publishes what
+    /// it read at its global slot, then writes the cell: in a block that
+    /// starts from zeroed shared memory every read is `0.0`. Carries a
+    /// batched body, so both interpreter paths run it; block `diverge`
+    /// splits at the barrier after writing.
+    struct ReadBeforeWrite<'a> {
+        out: &'a GlobalMem,
+        grid: Dim2,
+        diverge: Option<(usize, usize)>,
+    }
+
+    impl ReadBeforeWrite<'_> {
+        const WIDTH: usize = 2;
+
+        fn slot(&self, bx: usize, by: usize, tx: usize) -> usize {
+            (by * self.grid.x + bx) * Self::WIDTH + tx
+        }
+    }
+
+    impl BlockKernel for ReadBeforeWrite<'_> {
+        type State = ();
+
+        fn block(&self) -> Dim2 {
+            Dim2::new(Self::WIDTH, 1)
+        }
+
+        fn shared_len(&self) -> usize {
+            Self::WIDTH
+        }
+
+        fn init(&self, _bx: usize, _by: usize, _tx: usize, _ty: usize) {}
+
+        fn run_phase<S: AccessSink>(
+            &self,
+            phase: usize,
+            _state: &mut (),
+            ctx: &mut PhaseCtx<'_, S>,
+        ) -> PhaseOutcome {
+            assert_eq!(phase, 0, "every block retires (or diverges) in phase 0");
+            let v = ctx.shared_load(ctx.tx);
+            ctx.global_store(self.out, self.slot(ctx.bx, ctx.by, ctx.tx), v);
+            ctx.shared_store(ctx.tx, 1.0 + self.slot(ctx.bx, ctx.by, ctx.tx) as f64);
+            if self.diverge == Some((ctx.bx, ctx.by)) && ctx.tx == 0 {
+                PhaseOutcome::Sync
+            } else {
+                PhaseOutcome::Done
+            }
+        }
+
+        fn run_phase_batch(
+            &self,
+            _phase: usize,
+            _states: &mut [()],
+            ctx: &mut BatchCtx<'_>,
+        ) -> Option<PhaseOutcome> {
+            if self.diverge == Some((ctx.bx, ctx.by)) {
+                return None; // the scalar loop reports the split per thread
+            }
+            let (bx, by) = (ctx.bx, ctx.by);
+            for tx in 0..Self::WIDTH {
+                let v = ctx.shared()[tx];
+                self.out.store(self.slot(bx, by, tx), v);
+                ctx.shared()[tx] = 1.0 + self.slot(bx, by, tx) as f64;
+            }
+            if let Some(t) = ctx.trace() {
+                t.global.begin_run(self.out.id(), self.out.len());
+                for tx in 0..Self::WIDTH {
+                    t.shared.push_load(tx, 0, tx);
+                    t.global.push_store(tx, 0, self.slot(bx, by, tx));
+                    t.shared.push_store(tx, 0, tx);
+                }
+            }
+            let counts = ctx.counters();
+            counts.shared_loads += Self::WIDTH as u64;
+            counts.shared_stores += Self::WIDTH as u64;
+            counts.global_stores += Self::WIDTH as u64;
+            Some(PhaseOutcome::Done)
+        }
+    }
+
+    #[test]
+    fn shared_memory_reads_zero_in_every_block() {
+        let grid = Dim2::new(3, 2);
+        let cells = grid.count() * ReadBeforeWrite::WIDTH;
+        let zeros = vec![0.0; cells];
+        fn kernel(out: &GlobalMem, grid: Dim2) -> ReadBeforeWrite<'_> {
+            ReadBeforeWrite { out, grid, diverge: None }
+        }
+        // Block waves share one scratch per claimed band of blocks.
+        for wave in [1, 2] {
+            let out = GlobalMem::from_slice(&vec![f64::NAN; cells]);
+            run_grid(grid, &kernel(&out, grid), &EventCounters::new(), WavePlan::fixed(wave));
+            assert_eq!(out.to_vec(), zeros, "batched, wave {wave}");
+            let out = GlobalMem::from_slice(&vec![f64::NAN; cells]);
+            let k = kernel(&out, grid);
+            run_grid_unbatched(grid, &k, &EventCounters::new(), WavePlan::fixed(wave));
+            assert_eq!(out.to_vec(), zeros, "scalar, wave {wave}");
+        }
+        // A monitored launch shares one scratch across all its blocks.
+        let out = GlobalMem::from_slice(&vec![f64::NAN; cells]);
+        let mut traced = 0;
+        run_grid_monitored(
+            grid,
+            &kernel(&out, grid),
+            &EventCounters::new(),
+            |_, _| BulkRecorder::default(),
+            |_, _, sink, exit| {
+                assert_eq!(exit, BlockExit::Retired);
+                traced += sink.0.shared.len();
+            },
+        );
+        assert_eq!(out.to_vec(), zeros, "monitored");
+        assert_eq!(traced, 2 * cells, "every shared access reached the bulk sink");
+    }
+
+    #[test]
+    fn blocks_after_a_diverging_block_run_as_on_fresh_scratch() {
+        // Block (1, 0) writes its shared cells, then splits at the barrier,
+        // leaving its threads' outcomes mixed; the blocks after it must
+        // still read zeroed shared memory and retire, as on fresh scratch.
+        let grid = Dim2::new(3, 2);
+        let cells = grid.count() * ReadBeforeWrite::WIDTH;
+        let run = |diverge| {
+            let out = GlobalMem::from_slice(&vec![f64::NAN; cells]);
+            let kernel = ReadBeforeWrite { out: &out, grid, diverge };
+            let mut exits = Vec::new();
+            let mut shared = Vec::new();
+            run_grid_monitored(
+                grid,
+                &kernel,
+                &EventCounters::new(),
+                |_, _| BulkRecorder::default(),
+                |bx, by, sink, exit| {
+                    exits.push(((bx, by), exit));
+                    shared.push(sink.0.shared);
+                },
+            );
+            (out.to_vec(), exits, shared)
+        };
+        let (fresh_out, fresh_exits, fresh_shared) = run(None);
+        let (out, exits, shared) = run(Some((1, 0)));
+        assert_eq!(out, vec![0.0; cells]);
+        assert_eq!(out, fresh_out);
+        assert!(matches!(exits[1], ((1, 0), BlockExit::Diverged { phase: 0, .. })), "{exits:?}");
+        for b in (0..grid.count()).filter(|&b| b != 1) {
+            assert_eq!(exits[b], fresh_exits[b], "block {b}");
+            assert_eq!(shared[b], fresh_shared[b], "block {b}");
+        }
     }
 
     #[test]

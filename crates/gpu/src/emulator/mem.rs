@@ -80,16 +80,6 @@ impl Cells {
         }
     }
 
-    /// The `len` cells starting at `idx`, bounds-checked once; an overrun
-    /// names its first out-of-bounds index.
-    #[inline]
-    fn row(&self, op: &str, idx: usize, len: usize) -> &[AtomicU64] {
-        match idx.checked_add(len).and_then(|end| self.cells.get(idx..end)) {
-            Some(row) => row,
-            None => self.oob(op, idx.max(self.cells.len())),
-        }
-    }
-
     #[inline]
     fn load(&self, idx: usize) -> f64 {
         f64::from_bits(self.cell("load", idx).load(Ordering::Relaxed))
@@ -147,13 +137,14 @@ impl GlobalMem {
         self.cells.len() == 0
     }
 
-    /// Raw load without event accounting (host-side access).
+    /// Raw load without event accounting: a host-side access, or one
+    /// element of a batched phase body, which counts its events in bulk.
     #[inline]
     pub fn load(&self, idx: usize) -> f64 {
         self.cells.load(idx)
     }
 
-    /// Raw store without event accounting (host-side access).
+    /// Raw store without event accounting (see [`load`](GlobalMem::load)).
     #[inline]
     pub fn store(&self, idx: usize, v: f64) {
         self.cells.store(idx, v)
@@ -163,35 +154,11 @@ impl GlobalMem {
     pub fn to_vec(&self) -> Vec<f64> {
         self.cells.to_vec()
     }
-
-    /// Loads the `dst.len()` doubles starting at `idx` into `dst`, without
-    /// event accounting: a batched phase body's row copy. Panics, naming
-    /// the first out-of-bounds index, if the row overruns the allocation.
-    #[inline]
-    pub fn load_row(&self, idx: usize, dst: &mut [f64]) {
-        let row = self.cells.row("load", idx, dst.len());
-        for (d, cell) in dst.iter_mut().zip(row) {
-            *d = f64::from_bits(cell.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Adds `src` element-wise into the `src.len()` doubles starting at
-    /// `idx` (`cell = cell + src[i]`), without event accounting: a batched
-    /// phase body's row read-modify-write. Bounds-checked as
-    /// [`load_row`](GlobalMem::load_row). Each cell's load and store are
-    /// separate, not one atomic add, as in the scalar body.
-    #[inline]
-    pub fn add_row(&self, idx: usize, src: &[f64]) {
-        for (cell, &v) in self.cells.row("add", idx, src.len()).iter().zip(src) {
-            let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + v;
-            cell.store(sum.to_bits(), Ordering::Relaxed);
-        }
-    }
 }
 
 /// Per-block shared memory (the `__shared__` arrays of Fig. 5), used by
-/// the legacy OS-thread engine. The phase interpreter gives each block a
-/// plain block-local `Vec<f64>` instead.
+/// the legacy OS-thread engine. The phase interpreter runs each block in a
+/// plain `Vec<f64>` instead, zeroed per block.
 #[derive(Debug)]
 pub struct SharedMem {
     cells: Cells,
@@ -366,29 +333,6 @@ mod tests {
     #[should_panic(expected = "shared memory store out of bounds: index 7 >= len 2")]
     fn out_of_bounds_store_fails_loudly() {
         SharedMem::zeroed(2).store(7, 1.0);
-    }
-
-    #[test]
-    fn rows_load_and_add_in_place() {
-        let g = GlobalMem::from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        let mut row = [0.0; 2];
-        g.load_row(1, &mut row);
-        assert_eq!(row, [2.0, 3.0]);
-        g.add_row(2, &[0.5, -4.0]);
-        g.add_row(4, &[]);
-        assert_eq!(g.to_vec(), vec![1.0, 2.0, 3.5, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "global memory load out of bounds: index 4 >= len 4")]
-    fn overrunning_row_load_names_the_first_bad_index() {
-        GlobalMem::zeroed(4).load_row(2, &mut [0.0; 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "global memory add out of bounds: index 9 >= len 4")]
-    fn row_add_past_the_end_fails_loudly() {
-        GlobalMem::zeroed(4).add_row(9, &[1.0]);
     }
 
     #[test]

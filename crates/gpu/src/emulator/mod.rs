@@ -31,8 +31,8 @@ pub mod tiled_dgemm;
 
 pub use exec::{
     run_grid, run_grid_monitored, run_grid_unbatched, AccessPoint, AccessSink, BatchAccess,
-    BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch, GlobalRun, NoSink, PhaseCtx,
-    PhaseOutcome, PhaseTrace, SharedBatch, WavePlan,
+    BatchCtx, BlockExit, BlockKernel, Dim2, ForceScalar, GlobalBatch, GlobalRun, LoadRange, NoSink,
+    PhaseCtx, PhaseOutcome, PhaseTrace, SharedBatch, WavePlan,
 };
 pub use fft_kernel::EmuRowFft;
 pub use mem::{BlockCounters, BufId, EmuEvents, EventCounters, GlobalMem, SharedMem};

@@ -17,10 +17,12 @@
 //! [`EmuDgemm::run_legacy`] for old-vs-new equivalence tests.
 //!
 //! Each phase also has one portable batched body, which runs a whole
-//! block at once. Stage and retire are row copies and row
-//! read-modify-writes through [`GlobalMem::load_row`] and
-//! [`GlobalMem::add_row`]. The inner product puts its lanes across
-//! *threads*: it carries fixed-size register blocks of 16, then 8, then
+//! block at once. Stage and retire go element by element through
+//! [`GlobalMem::load`] and [`GlobalMem::store`]: a BS = 1 or 2 block does
+//! a few accesses per phase, and per-row helpers cost more than that
+//! work (DESIGN.md, "Batched SoA phase execution"). The inner product
+//! puts its lanes across *threads*: it carries fixed-size register
+//! blocks of 16, then 8, then
 //! 4, then 1 threads of a row across the `k` loop, so each emulated
 //! thread's accumulation chain keeps the scalar program order, with a
 //! separate multiply and add per step (rustc neither reassociates nor
@@ -32,7 +34,7 @@
 
 use super::exec::{
     run_grid, run_grid_monitored, run_grid_unbatched, AccessSink, BatchCtx, BlockExit, BlockKernel,
-    Dim2, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
+    Dim2, LoadRange, PhaseCtx, PhaseOutcome, PhaseTrace, WavePlan,
 };
 use super::legacy;
 use super::mem::{EmuEvents, EventCounters, GlobalMem};
@@ -249,19 +251,22 @@ impl DgemmKernel<'_> {
         ctx.global_store(self.c, ci, prev + st.csub);
     }
 
-    /// Batched tile stage: each thread row of `As`/`Bs` is one contiguous
-    /// run of global memory (`ai + n·ty + tx` is consecutive in `tx`), so
-    /// the whole stage is `2·bs` row copies. Events are counted in bulk:
-    /// `2·bs²` global loads + shared stores, exactly what the scalar loop
-    /// counts one by one.
+    /// Batched tile stage: element `(ty, tx)` of `As`/`Bs` comes from
+    /// `ai + n·ty + tx` / `bi + n·ty + tx`, in thread order. Events are
+    /// counted in bulk: `2·bs²` global loads + shared stores, exactly what
+    /// the scalar loop counts one by one.
+    #[inline]
     fn batch_stage(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
         let (n, bs) = (self.cfg.n, self.cfg.bs);
         let (ai, bi) = (states[0].ai, states[0].bi);
         let bs2 = bs * bs;
-        let (as_tile, bs_tile) = ctx.shared().split_at_mut(bs2);
+        let shared = ctx.shared();
         for ty in 0..bs {
-            self.a.load_row(ai + n * ty, &mut as_tile[ty * bs..][..bs]);
-            self.b.load_row(bi + n * ty, &mut bs_tile[ty * bs..][..bs]);
+            let (a_row, b_row, s_row) = (ai + n * ty, bi + n * ty, ty * bs);
+            for tx in 0..bs {
+                shared[s_row + tx] = self.a.load(a_row + tx);
+                shared[bs2 + s_row + tx] = self.b.load(b_row + tx);
+            }
         }
         let counts = ctx.counters();
         counts.global_loads += 2 * bs2 as u64;
@@ -273,6 +278,7 @@ impl DgemmKernel<'_> {
     /// blocks (`L` = 16, then 8, 4 and 1 for what is left), so BS = 28
     /// runs 16 + 8 + 4 lanes and BS = 31 runs 16 + 8 + 4 + 1 + 1 + 1.
     /// Bulk counts: `2·bs³` flops and shared loads.
+    #[inline]
     fn batch_mac(&self, states: &mut [DgemmState], ctx: &mut BatchCtx<'_>) {
         let bs = self.cfg.bs;
         let bs2 = bs * bs;
@@ -291,17 +297,16 @@ impl DgemmKernel<'_> {
         counts.shared_loads += 2 * muls;
     }
 
-    /// Batched `C += Csub`: each thread row retires as one contiguous row
-    /// read-modify-write. Bulk counts: `bs²` global loads and stores.
+    /// Batched `C += Csub`: each thread's element read-modify-written as
+    /// in the scalar body. Bulk counts: `bs²` global loads and stores.
     fn batch_retire(&self, states: &[DgemmState], ctx: &mut BatchCtx<'_>) {
         let (n, bs) = (self.cfg.n, self.cfg.bs);
         let base = n * bs * ctx.by + bs * ctx.bx;
-        let mut csub = [0.0f64; 32];
         for ty in 0..bs {
-            for (v, st) in csub.iter_mut().zip(&states[ty * bs..][..bs]) {
-                *v = st.csub;
+            let c_row = base + n * ty;
+            for (tx, st) in states[ty * bs..][..bs].iter().enumerate() {
+                self.c.store(c_row + tx, self.c.load(c_row + tx) + st.csub);
             }
-            self.c.add_row(base + n * ty, &csub[..bs]);
         }
         let counts = ctx.counters();
         counts.global_loads += (bs * bs) as u64;
@@ -314,15 +319,15 @@ impl DgemmKernel<'_> {
     // would have reported: thread-major within a phase, per-thread
     // accesses in scalar program order, global records grouped into
     // per-buffer runs (each cell here belongs to exactly one thread per
-    // phase, so per-cell shadow order is preserved by construction).
+    // phase, so per-cell shadow order is preserved by construction). The
+    // record buffers belong to the launch's block scratch and keep their
+    // capacity from phase to phase, so emission reserves nothing.
 
     /// Stage records: global loads of the `A` and `B` tile rows, shared
     /// stores into `As`/`Bs`.
+    #[inline]
     fn trace_stage(&self, ai: usize, bi: usize, t: &mut PhaseTrace) {
         let (n, bs) = (self.cfg.n, self.cfg.bs);
-        let bs2 = bs * bs;
-        t.shared.reserve(2 * bs2);
-        t.global.reserve(2 * bs2);
         t.global.begin_run(self.a.id(), self.a.len());
         for ty in 0..bs {
             let base = ai + n * ty;
@@ -346,10 +351,17 @@ impl DgemmKernel<'_> {
     }
 
     /// Mac records: each thread's interleaved `As`/`Bs` shared loads, `k`
-    /// ascending — the exact scalar hook order.
-    fn trace_mac(&self, t: &mut PhaseTrace) {
+    /// ascending — the exact scalar hook order. When the sink does not want
+    /// them (`records` false), the phase, which stores nothing, reports the
+    /// `2·bs³` loads as one range over both tiles instead; its last cell,
+    /// `Bs[bs − 1][bs − 1]`, is first loaded by thread `(bs − 1, 0)`.
+    #[inline]
+    fn trace_mac(&self, t: &mut PhaseTrace, records: bool) {
         let bs = self.cfg.bs;
-        t.shared.reserve(2 * bs * bs * bs);
+        if !records {
+            t.shared.set_load_range(LoadRange { cells: 0..2 * bs * bs, last: (bs - 1, 0) });
+            return;
+        }
         for ty in 0..bs {
             for tx in 0..bs {
                 for k in 0..bs {
@@ -364,7 +376,6 @@ impl DgemmKernel<'_> {
     fn trace_retire(&self, bx: usize, by: usize, t: &mut PhaseTrace) {
         let (n, bs) = (self.cfg.n, self.cfg.bs);
         let base = n * bs * by + bs * bx;
-        t.global.reserve(2 * bs * bs);
         t.global.begin_run(self.c.id(), self.c.len());
         for ty in 0..bs {
             let row = base + n * ty;
@@ -439,6 +450,7 @@ impl BlockKernel for DgemmKernel<'_> {
         }
     }
 
+    #[inline]
     fn run_phase_batch(
         &self,
         _phase: usize,
@@ -461,8 +473,9 @@ impl BlockKernel for DgemmKernel<'_> {
                 Some(PhaseOutcome::Sync)
             }
             Step::Mac => {
+                let records = ctx.shared_loads_wanted();
                 if let Some(t) = ctx.trace() {
-                    self.trace_mac(t);
+                    self.trace_mac(t, records);
                 }
                 self.batch_mac(states, ctx);
                 for st in states.iter_mut() {
@@ -593,6 +606,8 @@ fn legacy_matrix_product(
 mod tests {
     use super::*;
     use crate::cupti::{CuptiCounter, CuptiReport};
+    use crate::emulator::exec::AccessPoint;
+    use crate::emulator::mem::BufId;
 
     /// Deterministic host-side fill (SplitMix64, the kernels crate's
     /// pattern) without a cross-crate dependency.
@@ -727,6 +742,99 @@ mod tests {
         emu.run(&a, &b, &c);
         let expect = reference(&av, &bv, &vec![0.0; 256], 16, 1.0);
         assert!(max_err(&c.to_vec(), &expect) < 1e-10);
+    }
+
+    /// A bulk sink that keeps each phase's shared loads, as records or as
+    /// a range, and declines loads when `decline` is set.
+    #[derive(Default)]
+    struct LoadLog {
+        decline: bool,
+        records: Vec<Vec<(usize, (usize, usize))>>,
+        ranges: Vec<Option<LoadRange>>,
+    }
+
+    impl AccessSink for LoadLog {
+        const BULK: bool = true;
+
+        fn shared_load(&mut self, _: AccessPoint, _: usize, _: usize) -> bool {
+            unreachable!("bulk only")
+        }
+
+        fn shared_store(&mut self, _: AccessPoint, _: usize, _: usize) -> bool {
+            unreachable!("bulk only")
+        }
+
+        fn global_load(&mut self, _: AccessPoint, _: BufId, _: usize, _: usize) -> bool {
+            unreachable!("bulk only")
+        }
+
+        fn global_store(&mut self, _: AccessPoint, _: BufId, _: usize, _: usize) -> bool {
+            unreachable!("bulk only")
+        }
+
+        fn wants_shared_loads(&self) -> bool {
+            !self.decline
+        }
+
+        fn observe_phase(&mut self, _: usize, _: usize, _: usize, _: usize, t: &PhaseTrace) {
+            let loads = t.shared.iter().filter(|a| !a.store).map(|a| (a.idx, (a.tx, a.ty)));
+            self.records.push(loads.collect());
+            self.ranges.push(t.shared.load_range().cloned());
+        }
+    }
+
+    #[test]
+    fn declined_mac_loads_arrive_as_the_range_their_records_span() {
+        // Every MAC phase (no shared store) of a G = 2, R = 2 launch: the
+        // range covers exactly the cells its records load, and names the
+        // first thread to load the last one.
+        for bs in [1usize, 2, 3, 4, 8] {
+            let n = 2 * bs;
+            let v = filled(n * n, 7);
+            let log = |decline| {
+                let (a, b, c) = (
+                    GlobalMem::from_slice(&v),
+                    GlobalMem::from_slice(&v),
+                    GlobalMem::from_slice(&v),
+                );
+                let mut logs = Vec::new();
+                let emu = EmuDgemm::new(TiledDgemmConfig { n, bs, g: 2, r: 2 });
+                let events = emu.run_monitored(
+                    &a,
+                    &b,
+                    &c,
+                    |_, _| LoadLog { decline, ..LoadLog::default() },
+                    |_, _, sink, exit| {
+                        assert_eq!(exit, BlockExit::Retired);
+                        logs.push(sink);
+                    },
+                );
+                (logs, events, c.to_vec())
+            };
+            let (records, events, out) = log(false);
+            let (ranged, ranged_events, ranged_out) = log(true);
+            assert_eq!((events, &out), (ranged_events, &ranged_out), "bs {bs}");
+            let mut macs = 0;
+            for (rec, rng) in records.iter().zip(&ranged) {
+                assert!(rec.ranges.iter().all(Option::is_none), "bs {bs}: a range nobody declined");
+                for ((loads, range), ranged_loads) in
+                    rec.records.iter().zip(&rng.ranges).zip(&rng.records)
+                {
+                    let Some(range) = range else {
+                        assert_eq!(loads, ranged_loads, "bs {bs}: records of a phase with stores");
+                        continue;
+                    };
+                    macs += 1;
+                    assert!(ranged_loads.is_empty(), "bs {bs}: a range and load records");
+                    let lo = loads.iter().map(|l| l.0).min().unwrap();
+                    let hi = loads.iter().map(|l| l.0).max().unwrap();
+                    let last = loads.iter().find(|l| l.0 == hi).unwrap().1;
+                    assert_eq!(*range, LoadRange { cells: lo..hi + 1, last }, "bs {bs}");
+                }
+            }
+            // 4 blocks × 2 products per run × 2 runs × 2 tiles.
+            assert_eq!(macs, 4 * 2 * 2 * 2, "bs {bs}");
+        }
     }
 
     #[test]

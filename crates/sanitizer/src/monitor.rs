@@ -47,18 +47,31 @@
 //! A phase with no store to a memory, or whose accesses to it all come
 //! from one thread, cannot race on it within the block; and every intra-
 //! block shadow resets at the next phase, so skipping such a phase's race
-//! steps changes no finding. A bulk batch carries one whole phase (see
-//! [`AccessSink::observe_shared_batch`]), so the monitor tells such a
-//! phase from the batch alone: its store count for either memory, a scan
-//! for a second thread for shared memory. It still reports out-of-bounds
+//! steps changes no finding. A bulk trace carries one whole phase (see
+//! [`AccessSink::observe_phase`]), so the monitor tells such a phase from
+//! the trace alone: its store count for either memory, a scan for a
+//! second thread for shared memory. It still reports out-of-bounds
 //! records, keeps the inter-block history, and marks written cells and
 //! collects uninitialized-read candidates while some shared cell of the
 //! block is unwritten — once every cell is written, a race-free shared
 //! batch is passed over.
+//!
+//! # Load ranges
+//!
+//! Once every shared cell of the block is written, a phase without shared
+//! stores can fail no shared check but the bounds check: a race needs a
+//! store in the phase, and an uninitialized read needs an unwritten cell.
+//! So from then on [`MonitorSink::wants_shared_loads`] answers `false`,
+//! and a kernel may hand such a phase's loads over as one
+//! [`LoadRange`](enprop_gpusim::emulator::LoadRange) instead of a record
+//! per load (the tiled DGEMM's MAC phase: `2·BS³` records). The monitor
+//! checks the range's end against the shared length, without borrowing
+//! its state when it is in bounds. `unwritten` only falls within a block,
+//! so the answer never goes back to `true` before the next block.
 
 use crate::report::{AccessKind, Finding, MemSpace};
 use enprop_gpusim::emulator::{
-    AccessPoint, AccessSink, BatchAccess, BlockExit, BufId, GlobalBatch, SharedBatch,
+    AccessPoint, AccessSink, BlockExit, BufId, GlobalBatch, PhaseTrace, SharedBatch,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -232,13 +245,6 @@ impl Runs {
     }
 }
 
-/// Whether one thread makes every access of a phase's `records`: with
-/// no other thread, nothing in the phase can race within the block.
-fn one_thread(mut records: impl Iterator<Item = BatchAccess>) -> bool {
-    let Some(first) = records.next() else { return true };
-    records.all(|a| (a.tx, a.ty) == (first.tx, first.ty))
-}
-
 /// Advances a cell's shadow by the current run's access, returning the
 /// earlier access it conflicts with: a different thread's same-phase
 /// write, or — for a write — a different thread's same-phase read. Once a
@@ -317,11 +323,19 @@ impl MonitorState {
     /// Opens a phase, and the block with its first one.
     #[inline(never)]
     fn open(&mut self, bx: usize, by: usize, phase: usize) {
+        self.enter_block(bx, by);
+        self.runs.open(phase);
+    }
+
+    /// Gives block `(bx, by)` its ordinal at its first access. A phase
+    /// that needs only the inter-block history enters the block but not
+    /// the phase: it hands out no run id.
+    #[inline]
+    fn enter_block(&mut self, bx: usize, by: usize) {
         if self.block == 0 {
             self.blocks.push((bx, by));
             self.block = self.blocks.len() as u64;
         }
-        self.runs.open(phase);
     }
 
     /// Reports an out-of-bounds access; a global one names its buffer
@@ -432,6 +446,57 @@ impl MonitorState {
             first_thread,
             first_kind,
         ));
+    }
+
+    /// A bulk phase's shared records. A race-free phase skips the race
+    /// steps (see the module docs), and is passed over entirely once
+    /// every cell of the block is written and no record is out of bounds.
+    fn shared_batch(
+        &mut self,
+        bx: usize,
+        by: usize,
+        phase: usize,
+        len: usize,
+        batch: &SharedBatch,
+    ) {
+        let races = batch.stores() > 0 && !batch.one_thread();
+        if !races && self.unwritten == 0 && batch.index_end() <= len {
+            return;
+        }
+        self.enter(bx, by, phase);
+        for a in batch.iter() {
+            if a.idx >= len {
+                let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
+                self.report_oob(MemSpace::Shared, None, at, a.store, a.idx, len);
+            } else if races || self.unwritten > 0 {
+                self.shared_access(a.idx, a.tx, a.ty, a.store, races);
+            }
+        }
+    }
+
+    /// A bulk phase's global records. The buffer table is consulted once
+    /// per run instead of once per access, and a store-free phase keeps
+    /// only the inter-block history, without entering the phase. (Unlike
+    /// the shared batch, no scan for a second thread: global batches with
+    /// stores are few, and the scan did not pay for itself.)
+    fn global_batch(&mut self, bx: usize, by: usize, phase: usize, batch: &GlobalBatch) {
+        let races = batch.stores() > 0;
+        if races {
+            self.enter(bx, by, phase);
+        } else {
+            self.enter_block(bx, by);
+        }
+        for run in batch.runs() {
+            let ordinal = self.table.ordinal(run.buf);
+            for a in run.accesses() {
+                if a.idx >= run.len {
+                    let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
+                    self.report_oob(MemSpace::Global, ordinal, at, a.store, a.idx, run.len);
+                } else if let Some(o) = ordinal {
+                    self.global_access(o, a.idx, a.tx, a.ty, a.store, races);
+                }
+            }
+        }
     }
 
     /// Reports an inter-block race of the block in progress with the
@@ -599,6 +664,33 @@ impl MonitorSink {
         }
         true
     }
+
+    /// Everything of [`observe_phase`](AccessSink::observe_phase) but an
+    /// in-bounds range alone, kept out of line so that the interpreter's
+    /// loop inlines only that check.
+    #[inline(never)]
+    fn observe_records(
+        &mut self,
+        bx: usize,
+        by: usize,
+        phase: usize,
+        shared_len: usize,
+        trace: &PhaseTrace,
+    ) {
+        let (shared, global) = (&trace.shared, &trace.global);
+        let mut st = self.state.borrow_mut();
+        if let Some(range) = shared.load_range().filter(|r| r.cells.end > shared_len) {
+            let (tx, ty) = range.last;
+            let at = AccessPoint { bx, by, tx, ty, phase };
+            st.report_oob(MemSpace::Shared, None, at, false, range.cells.end - 1, shared_len);
+        }
+        if !shared.is_empty() {
+            st.shared_batch(bx, by, phase, shared_len, shared);
+        }
+        if !global.is_empty() {
+            st.global_batch(bx, by, phase, global);
+        }
+    }
 }
 
 impl AccessSink for MonitorSink {
@@ -606,6 +698,16 @@ impl AccessSink for MonitorSink {
     /// batched phase bodies run monitored on the batched interpreter —
     /// one `RefCell` borrow per phase instead of one per access.
     const BULK: bool = true;
+
+    /// Loads are wanted until every shared cell of the block is written.
+    /// From then on a phase without shared stores can neither race (that
+    /// takes a store) nor read an uninitialized cell, so its loads can
+    /// fail only the bounds check, which a [`LoadRange`] answers.
+    ///
+    /// [`LoadRange`]: enprop_gpusim::emulator::LoadRange
+    fn wants_shared_loads(&self) -> bool {
+        self.state.borrow().unwritten > 0
+    }
 
     fn shared_load(&mut self, at: AccessPoint, idx: usize, len: usize) -> bool {
         self.shared(at, idx, len, false)
@@ -623,61 +725,30 @@ impl AccessSink for MonitorSink {
         self.global(at, buf, idx, len, true)
     }
 
-    /// The batched counterpart of [`shared_load`](Self::shared_load) /
-    /// [`shared_store`](Self::shared_store): the same checks in the same
-    /// per-record order, under a single `RefCell` borrow for the whole
-    /// phase. A race-free phase skips the race steps (see the module
-    /// docs), and is passed over entirely once every cell of the block is
-    /// written and no record is out of bounds. Bulk sinks cannot veto, so
-    /// an out-of-bounds record is reported without suppression — batched
-    /// bodies bounds-check their own accesses, making a veto unreachable
-    /// here anyway.
-    fn observe_shared_batch(
+    /// The batched counterpart of the four hooks: the same checks in the
+    /// same per-record order, under one `RefCell` borrow for the whole
+    /// phase. Bulk sinks cannot veto, so an out-of-bounds record is
+    /// reported without suppression — batched bodies bounds-check their
+    /// own accesses, making a veto unreachable here anyway.
+    ///
+    /// A [`LoadRange`] comes only after [`wants_shared_loads`] said no,
+    /// so only its end is checked; a phase with nothing else to observe
+    /// returns without a borrow when that end is in bounds.
+    ///
+    /// [`LoadRange`]: enprop_gpusim::emulator::LoadRange
+    /// [`wants_shared_loads`]: Self::wants_shared_loads
+    #[inline]
+    fn observe_phase(
         &mut self,
         bx: usize,
         by: usize,
         phase: usize,
-        len: usize,
-        batch: &SharedBatch,
+        shared_len: usize,
+        trace: &PhaseTrace,
     ) {
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        let races = batch.stores() > 0 && !one_thread(batch.iter());
-        if !races && st.unwritten == 0 && batch.index_end() <= len {
-            return;
-        }
-        st.enter(bx, by, phase);
-        for a in batch.iter() {
-            if a.idx >= len {
-                let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
-                st.report_oob(MemSpace::Shared, None, at, a.store, a.idx, len);
-            } else if races || st.unwritten > 0 {
-                st.shared_access(a.idx, a.tx, a.ty, a.store, races);
-            }
-        }
-    }
-
-    /// The batched counterpart of [`global_load`](Self::global_load) /
-    /// [`global_store`](Self::global_store). The buffer table is
-    /// consulted once per run instead of once per access, and a
-    /// store-free phase keeps only the inter-block history. (Unlike the
-    /// shared batch, no scan for a second thread: global batches with
-    /// stores are few, and the scan did not pay for itself.)
-    fn observe_global_batch(&mut self, bx: usize, by: usize, phase: usize, batch: &GlobalBatch) {
-        let mut guard = self.state.borrow_mut();
-        let st = &mut *guard;
-        st.enter(bx, by, phase);
-        let races = batch.stores() > 0;
-        for run in batch.runs() {
-            let ordinal = st.table.ordinal(run.buf);
-            for a in run.accesses() {
-                if a.idx >= run.len {
-                    let at = AccessPoint { bx, by, tx: a.tx, ty: a.ty, phase };
-                    st.report_oob(MemSpace::Global, ordinal, at, a.store, a.idx, run.len);
-                } else if let Some(o) = ordinal {
-                    st.global_access(o, a.idx, a.tx, a.ty, a.store, races);
-                }
-            }
+        let in_bounds = trace.shared.load_range().is_none_or(|r| r.cells.end <= shared_len);
+        if !(in_bounds && trace.shared.is_empty() && trace.global.is_empty()) {
+            self.observe_records(bx, by, phase, shared_len, trace);
         }
     }
 }

@@ -1,12 +1,17 @@
 //! Batched-monitoring equivalence: the monitor's bulk trace-consuming
-//! path (PR 8 — `MonitorSink::BULK`, shadow state updated from per-phase
-//! access batches) must be observationally identical to the scalar
+//! path (`MonitorSink::BULK`, shadow state updated from per-phase access
+//! traces, store-free phases as load ranges once a block's shared cells
+//! are written) must be observationally identical to the scalar
 //! per-access hook path pinned via [`ForceScalar`]: same findings in the
-//! same order, same memory bits, same event counts.
+//! same order, same suppressed count, same memory bits, same event
+//! counts.
 
-use enprop_gpusim::emulator::{EmuDgemm, EmuRowFft, ForceScalar, GlobalMem};
+use enprop_gpusim::emulator::{
+    AccessSink, BlockKernel, Dim2, EmuDgemm, EmuRowFft, ForceScalar, GlobalMem, PhaseCtx,
+    PhaseOutcome,
+};
 use enprop_gpusim::TiledDgemmConfig;
-use enprop_sanitize::{BufferTable, Finding, LaunchMonitor};
+use enprop_sanitize::{sanitize_kernel, BufferTable, Checker, Finding, LaunchMonitor};
 
 /// Deterministic fill for test matrices.
 fn filled(len: usize, seed: u64) -> Vec<f64> {
@@ -31,9 +36,16 @@ fn render(findings: &[Finding]) -> Vec<String> {
     findings.iter().map(|f| format!("{f:?}")).collect()
 }
 
+/// Every BS in 1..=32 at N = 2·BS (a 2 × 2 grid, so both the inter-block
+/// history and the per-block resets are exercised), with a second product
+/// after a separator barrier (G = 2) and after a fused run boundary
+/// (R = 2). The bulk side takes the load-range form of every MAC phase
+/// after a block's first stage.
 #[test]
 fn dgemm_bulk_monitoring_matches_forced_scalar_monitoring() {
-    for &(n, bs, g, r) in &[(32usize, 8usize, 1usize, 1usize), (64, 16, 2, 1), (16, 4, 2, 2)] {
+    let shapes =
+        (1..=32usize).flat_map(|bs| [(1, 1), (1, 2), (2, 1)].map(|(g, r)| (2 * bs, bs, g, r)));
+    for (n, bs, g, r) in shapes {
         let host_a = filled(n * n, 11);
         let host_b = filled(n * n, 12);
         let host_c = filled(n * n, 13);
@@ -158,4 +170,70 @@ fn self_test_corpus_still_catches_all_fixtures_with_bulk_sink() {
             report.findings
         );
     }
+}
+
+/// Each thread reads its shared cell, publishes the value, then writes
+/// the cell; in block `bad`, thread 0 also reads one cell past the end and
+/// then splits from the others at the barrier.
+struct Scribble<'a> {
+    out: &'a GlobalMem,
+    bad: Option<usize>,
+}
+
+impl BlockKernel for Scribble<'_> {
+    type State = ();
+
+    fn block(&self) -> Dim2 {
+        Dim2::new(2, 1)
+    }
+
+    fn shared_len(&self) -> usize {
+        2
+    }
+
+    fn init(&self, _bx: usize, _by: usize, _tx: usize, _ty: usize) {}
+
+    fn run_phase<S: AccessSink>(
+        &self,
+        _phase: usize,
+        _state: &mut (),
+        ctx: &mut PhaseCtx<'_, S>,
+    ) -> PhaseOutcome {
+        let slot = 2 * ctx.bx + ctx.tx;
+        let v = ctx.shared_load(ctx.tx);
+        ctx.global_store(self.out, slot, v);
+        ctx.shared_store(ctx.tx, 1.0 + slot as f64);
+        if self.bad == Some(ctx.bx) && ctx.tx == 0 {
+            ctx.shared_load(2);
+            return PhaseOutcome::Sync;
+        }
+        PhaseOutcome::Done
+    }
+}
+
+#[test]
+fn blocks_after_a_reporting_block_report_what_fresh_scratch_gives() {
+    // Block 1 of 4 reports an out-of-bounds read and a barrier divergence;
+    // the blocks after it run on the launch's reused scratch and must
+    // report exactly what they report when no block before them misbehaves.
+    let run = |bad| {
+        let out = GlobalMem::from_slice(&[f64::NAN; 8]);
+        let mut table = BufferTable::new();
+        table.register(out.id(), "out", 8);
+        let report =
+            sanitize_kernel("scribble", Dim2::new(4, 1), &Scribble { out: &out, bad }, table);
+        (report, out.to_vec())
+    };
+    let (fresh, fresh_out) = run(None);
+    let (report, out) = run(Some(1));
+    assert!(fresh.clean(), "{:?}", fresh.findings);
+    assert_eq!(out, vec![0.0; 8], "every block reads zeroed shared memory");
+    assert_eq!(out, fresh_out);
+    let checkers: Vec<Checker> = report.findings.iter().map(|f| f.checker).collect();
+    assert_eq!(checkers, [Checker::Memcheck, Checker::Synccheck], "{:?}", report.findings);
+    assert!(
+        report.findings.iter().all(|f| format!("{f:?}").contains("(1, 0)")),
+        "{:?}",
+        report.findings
+    );
 }

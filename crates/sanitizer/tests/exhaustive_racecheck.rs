@@ -1,14 +1,16 @@
 //! Exhaustive small-case check of the race monitor. Every thread-serial
 //! access stream of 2 threads on 2 cells, with at most 2 loads or stores
 //! per thread per phase, over 1–2 phases (and over 2 blocks for global
-//! memory), goes through a [`LaunchMonitor`] twice: through the scalar
-//! hooks, and as one bulk batch per phase. Both must report exactly what
-//! a brute-force restatement of the reporting rule reports, finding for
-//! finding and in order. The scalar hooks also take every interleaving
-//! of the two threads' accesses within a phase.
+//! memory), goes through a [`LaunchMonitor`] through the scalar hooks, as
+//! one bulk trace per phase, and — for shared memory — as bulk traces in
+//! which every store-free phase whose loads the monitor declines carries
+//! them as a [`LoadRange`]. Each must report exactly what a brute-force
+//! restatement of the reporting rule reports, finding for finding and in
+//! order. The scalar hooks also take every interleaving of the two
+//! threads' accesses within a phase.
 
 use enprop_gpusim::emulator::{
-    AccessPoint, AccessSink, BlockExit, GlobalBatch, GlobalMem, SharedBatch,
+    AccessPoint, AccessSink, BlockExit, GlobalMem, LoadRange, PhaseTrace,
 };
 use enprop_sanitize::{AccessKind, BufferTable, Finding, LaunchMonitor, MemSpace, MonitorSink};
 
@@ -272,45 +274,79 @@ fn scalar(space: Space, events: &[Event], mem: &GlobalMem) -> Vec<Finding> {
 }
 
 /// What the batched interpreter hands a bulk sink: each phase as one
-/// call per non-empty batch.
+/// trace.
 fn bulk(space: Space, events: &[Event], mem: &GlobalMem) -> Vec<Finding> {
-    let (mut shared, mut global) = (SharedBatch::default(), GlobalBatch::default());
+    let mut trace = PhaseTrace::default();
     run(space, events, mem, |sink, phase| {
-        shared.clear();
-        global.clear();
+        trace.clear();
         if space == Space::Global {
-            global.begin_run(mem.id(), CELLS);
+            trace.global.begin_run(mem.id(), CELLS);
         }
         for e in phase {
             let (tx, ty) = THREADS[e.thread];
             match (space, e.store) {
-                (Space::Shared, false) => shared.push_load(tx, ty, e.cell),
-                (Space::Shared, true) => shared.push_store(tx, ty, e.cell),
-                (Space::Global, false) => global.push_load(tx, ty, e.cell),
-                (Space::Global, true) => global.push_store(tx, ty, e.cell),
+                (Space::Shared, false) => trace.shared.push_load(tx, ty, e.cell),
+                (Space::Shared, true) => trace.shared.push_store(tx, ty, e.cell),
+                (Space::Global, false) => trace.global.push_load(tx, ty, e.cell),
+                (Space::Global, true) => trace.global.push_store(tx, ty, e.cell),
             }
         }
         let at = phase[0].at();
-        if !shared.is_empty() {
-            sink.observe_shared_batch(at.bx, at.by, at.phase, CELLS, &shared);
-        }
-        if !global.is_empty() {
-            sink.observe_global_batch(at.bx, at.by, at.phase, &global);
-        }
+        sink.observe_phase(at.bx, at.by, at.phase, CELLS, &trace);
     })
 }
 
+/// [`bulk`], but a shared phase without stores carries its loads as one
+/// [`LoadRange`] whenever the sink, asked before the phase, does not want
+/// them: the cells from the smallest to the largest loaded one, and the
+/// first thread to load the largest. Returns the findings and how many
+/// phases took the range.
+fn ranged(events: &[Event]) -> (Vec<Finding>, usize) {
+    let mem = GlobalMem::zeroed(CELLS);
+    let mut trace = PhaseTrace::default();
+    let mut taken = 0;
+    let findings = run(Space::Shared, events, &mem, |sink, phase| {
+        trace.clear();
+        let cells = phase.iter().map(|e| e.cell);
+        let (lo, hi) = (cells.clone().min().unwrap(), cells.max().unwrap());
+        if !sink.wants_shared_loads() && phase.iter().all(|e| !e.store) {
+            let last = phase.iter().find(|e| e.cell == hi).unwrap().thread;
+            trace.shared.set_load_range(LoadRange { cells: lo..hi + 1, last: THREADS[last] });
+            taken += 1;
+        } else {
+            for e in phase {
+                let (tx, ty) = THREADS[e.thread];
+                if e.store {
+                    trace.shared.push_store(tx, ty, e.cell);
+                } else {
+                    trace.shared.push_load(tx, ty, e.cell);
+                }
+            }
+        }
+        let at = phase[0].at();
+        sink.observe_phase(at.bx, at.by, at.phase, CELLS, &trace);
+    });
+    (findings, taken)
+}
+
 /// Checks both paths against the reference on every thread-serial stream
-/// of the shape, returning how many streams report anything.
+/// of the shape, returning how many streams report anything. Shared
+/// streams also go through [`ranged`].
 fn check_streams(space: Space, blocks: usize, phases: usize) -> usize {
     let mem = GlobalMem::zeroed(CELLS);
-    let mut dirty = 0;
+    let (mut dirty, mut ranges) = (0, 0);
     for events in streams(blocks, phases) {
         let expect = reference(space, &events, CELLS);
         assert_eq!(scalar(space, &events, &mem), expect, "scalar hooks: {events:?}");
         assert_eq!(bulk(space, &events, &mem), expect, "bulk batches: {events:?}");
+        if space == Space::Shared {
+            let (found, taken) = ranged(&events);
+            assert_eq!(found, expect, "load ranges: {events:?}");
+            ranges += taken;
+        }
         dirty += usize::from(!expect.is_empty());
     }
+    assert_eq!(ranges > 0, space == Space::Shared && phases > 1, "ranges taken: {ranges}");
     dirty
 }
 
@@ -381,4 +417,45 @@ fn a_store_free_batch_still_reports_an_out_of_range_record() {
         assert_eq!(scalar(space, &events, &mem), expect, "{space:?}");
         assert_eq!(bulk(space, &events, &mem), expect, "{space:?}");
     }
+}
+
+#[test]
+fn a_load_range_past_the_end_reports_what_its_records_did() {
+    // Phase 0 writes every cell, so the store-free phase 1 may carry its
+    // loads as a range. Every phase 1 of at most 2 loads per thread over
+    // the cells and the one past the end, with at most one load past the
+    // end: the range reports exactly the records' findings — the one
+    // out-of-bounds load, or nothing.
+    let e = |phase, thread, cell, store| Event { block: 0, phase, thread, cell, store };
+    let loads = |thread| {
+        let one = (0..=CELLS).map(move |c| vec![e(1, thread, c, false)]);
+        let two = (0..=CELLS).flat_map(move |a| {
+            (0..=CELLS).map(move |b| vec![e(1, thread, a, false), e(1, thread, b, false)])
+        });
+        std::iter::once(vec![]).chain(one).chain(two)
+    };
+    let mem = GlobalMem::zeroed(CELLS);
+    let (mut reported, mut clean) = (0, 0);
+    for first in loads(0) {
+        for second in loads(1) {
+            let phase1: Vec<Event> = first.iter().chain(&second).copied().collect();
+            if phase1.is_empty() || phase1.iter().filter(|e| e.cell >= CELLS).count() > 1 {
+                continue;
+            }
+            let mut events = vec![e(0, 0, 0, true), e(0, 1, 1, true)];
+            events.extend(phase1);
+            let records = bulk(Space::Shared, &events, &mem);
+            let (found, taken) = ranged(&events);
+            assert_eq!(taken, 1, "{events:?}");
+            assert_eq!(found, records, "{events:?}");
+            assert_eq!(records, reference(Space::Shared, &events, CELLS), "{events:?}");
+            if found.is_empty() {
+                clean += 1;
+            } else {
+                assert_eq!(found.len(), 1);
+                reported += 1;
+            }
+        }
+    }
+    assert!(reported > 0 && clean > 0, "reported {reported}, clean {clean}");
 }

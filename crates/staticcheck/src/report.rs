@@ -45,6 +45,9 @@ pub enum FallbackKind {
     /// The accesses are affine but outside the fragment the analytic
     /// checks can decide (e.g. occurrence-varying shared addresses).
     Unsupported,
+    /// The affine forms' addresses, or the solver's intermediate values,
+    /// leave the `i64` range the checks compute in.
+    Overflow,
 }
 
 impl FallbackKind {
@@ -53,6 +56,7 @@ impl FallbackKind {
         match self {
             FallbackKind::NonAffine => "non-affine",
             FallbackKind::Unsupported => "unsupported",
+            FallbackKind::Overflow => "overflow",
         }
     }
 }

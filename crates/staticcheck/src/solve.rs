@@ -7,6 +7,10 @@
 //! system: a fit exists only if *every* sample row is satisfied exactly
 //! and the solved coefficients are integers — anything else is reported
 //! as a fallback, never rounded.
+//!
+//! The Diophantine helpers the checks use ([`div_floor`], [`div_ceil`],
+//! [`ext_gcd`]) work in `i64` and answer `None` on overflow, which the
+//! checks turn into a typed fallback.
 
 /// A reduced rational with positive denominator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,40 +132,32 @@ pub fn eval_poly(coefs: &[i128], basis: &[i128]) -> i128 {
     coefs.iter().zip(basis).map(|(c, b)| c * b).sum()
 }
 
-/// Floor division on `i128` (rounds toward negative infinity).
-pub fn div_floor(a: i128, b: i128) -> i128 {
-    debug_assert!(b != 0);
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
+/// Floor division (rounds toward negative infinity); `None` for a zero
+/// divisor or on overflow.
+pub fn div_floor(a: i64, b: i64) -> Option<i64> {
+    let q = a.checked_div(b)?;
+    Some(if (a % b != 0) && ((a < 0) != (b < 0)) { q - 1 } else { q })
 }
 
-/// Ceiling division on `i128` (rounds toward positive infinity).
-pub fn div_ceil(a: i128, b: i128) -> i128 {
-    debug_assert!(b != 0);
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) == (b < 0)) {
-        q + 1
-    } else {
-        q
-    }
+/// Ceiling division (rounds toward positive infinity); `None` for a zero
+/// divisor or on overflow.
+pub fn div_ceil(a: i64, b: i64) -> Option<i64> {
+    let q = a.checked_div(b)?;
+    Some(if (a % b != 0) && ((a < 0) == (b < 0)) { q + 1 } else { q })
 }
 
-/// Extended GCD: returns `(g, x, y)` with `a·x + b·y = g = gcd(a, b)`,
-/// `g ≥ 0`.
-pub fn ext_gcd(a: i128, b: i128) -> (i128, i128, i128) {
+/// Extended GCD: `(g, x, y)` with `a·x + b·y = g = gcd(a, b)`, `g ≥ 0`;
+/// `None` on overflow.
+pub fn ext_gcd(a: i64, b: i64) -> Option<(i64, i64, i64)> {
     if b == 0 {
         if a < 0 {
-            (-a, -1, 0)
+            Some((a.checked_neg()?, -1, 0))
         } else {
-            (a, 1, 0)
+            Some((a, 1, 0))
         }
     } else {
-        let (g, x, y) = ext_gcd(b, a % b);
-        (g, y, x - (a / b) * y)
+        let (g, x, y) = ext_gcd(b, a.checked_rem(b)?)?;
+        Some((g, y, x.checked_sub(a.checked_div(b)?.checked_mul(y)?)?))
     }
 }
 
@@ -173,10 +169,8 @@ mod tests {
     fn fits_exact_integer_polynomials() {
         // y = 3 + 2·a + 5·a·b over a few (a, b) points.
         let pts = [(1i128, 1i128), (2, 1), (3, 2), (1, 4), (5, 2), (4, 4)];
-        let rows: Vec<(Vec<i128>, i128)> = pts
-            .iter()
-            .map(|&(a, b)| (vec![1, a, a * b], 3 + 2 * a + 5 * a * b))
-            .collect();
+        let rows: Vec<(Vec<i128>, i128)> =
+            pts.iter().map(|&(a, b)| (vec![1, a, a * b], 3 + 2 * a + 5 * a * b)).collect();
         assert_eq!(fit_int_poly(&rows, 3), Some(vec![3, 2, 5]));
     }
 
@@ -199,15 +193,23 @@ mod tests {
 
     #[test]
     fn floor_ceil_ext_gcd() {
-        assert_eq!(div_floor(7, 2), 3);
-        assert_eq!(div_floor(-7, 2), -4);
-        assert_eq!(div_ceil(7, 2), 4);
-        assert_eq!(div_ceil(-7, 2), -3);
-        let (g, x, y) = ext_gcd(12, 18);
+        assert_eq!(div_floor(7, 2), Some(3));
+        assert_eq!(div_floor(-7, 2), Some(-4));
+        assert_eq!(div_ceil(7, 2), Some(4));
+        assert_eq!(div_ceil(-7, 2), Some(-3));
+        let (g, x, y) = ext_gcd(12, 18).unwrap();
         assert_eq!(g, 6);
         assert_eq!(12 * x + 18 * y, 6);
-        let (g, x, y) = ext_gcd(-4, 6);
+        let (g, x, y) = ext_gcd(-4, 6).unwrap();
         assert_eq!(g, 2);
         assert_eq!(-4 * x + 6 * y, 2);
+    }
+
+    #[test]
+    fn overflow_is_none_not_a_wrong_answer() {
+        assert_eq!(div_floor(1, 0), None);
+        assert_eq!(div_ceil(i64::MIN, -1), None);
+        assert_eq!(ext_gcd(i64::MIN, 0), None);
+        assert_eq!(ext_gcd(i64::MIN, -1), None);
     }
 }
