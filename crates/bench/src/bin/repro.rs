@@ -62,7 +62,7 @@
 //! any finding, fallback, missed fixture, parity failure, or count
 //! mismatch.
 //!
-//! The `bench-json` subcommand runs six sections and writes them, with
+//! The `bench-json` subcommand runs five sections and writes them, with
 //! `host_cores`, to `BENCH_sweep.json` (in `--json DIR`, else the current
 //! directory), printing each section's JSON as it completes:
 //!
@@ -77,10 +77,6 @@
 //!   per-access monitored run's, every self-test fixture caught by its
 //!   checker alone; batched ≥ 2× scalar, monitoring ≤ 8× the scalar run,
 //!   tiny monitoring ≤ 4× tiny batched;
-//! * `host_kernels` — the packed DGEMM against the unpacked baseline
-//!   (within 1e-8, ≥ 1.5×), and it and the 2-D FFT against their
-//!   multi-threaded forms: bitwise identity at 1/2/8 threads, ≥ 1.3× at 8
-//!   on a host with ≥ 4 cores;
 //! * `fault_sweep` — the 102-config K40c sweep under `--faults` transient
 //!   meter faults (default 5%) with 3-attempt retries: no configuration
 //!   lost, identical at 1/2/8 threads, journaling ≤ 1.10× the plain
@@ -667,7 +663,6 @@ struct BenchReport {
     host_cores: usize,
     sweep: SweepBench,
     emulator_dgemm: EmulatorDgemm,
-    host_kernels: HostKernels,
     fault_sweep: FaultSweep,
     static_verify: StaticVerifyBench,
     serve_throughput: ServeThroughput,
@@ -676,10 +671,9 @@ struct BenchReport {
 impl BenchReport {
     /// Every section's failed checks, each prefixed with its section.
     fn failures(&self, check: bool) -> Vec<String> {
-        let sections: [(&str, &dyn Section); 6] = [
+        let sections: [(&str, &dyn Section); 5] = [
             ("sweep", &self.sweep),
             ("emulator_dgemm", &self.emulator_dgemm),
-            ("host_kernels", &self.host_kernels),
             ("fault_sweep", &self.fault_sweep),
             ("static_verify", &self.static_verify),
             ("serve_throughput", &self.serve_throughput),
@@ -699,7 +693,7 @@ fn emit<T: serde::Serialize>(name: &str, section: T) -> T {
     section
 }
 
-/// The `bench-json` subcommand: runs the six sections in order, printing
+/// The `bench-json` subcommand: runs the five sections in order, printing
 /// each one's JSON as it completes, writes `BENCH_sweep.json`, then exits
 /// non-zero if any section failed a check (see the module docs).
 fn bench_json(threads: Option<usize>, fault_rate: f64, json_dir: Option<&str>, check: bool) {
@@ -708,7 +702,6 @@ fn bench_json(threads: Option<usize>, fault_rate: f64, json_dir: Option<&str>, c
         host_cores,
         sweep: emit("sweep", bench_sweep(threads, host_cores)),
         emulator_dgemm: emit("emulator_dgemm", bench_emulator_dgemm()),
-        host_kernels: emit("host_kernels", bench_host_kernels(host_cores)),
         fault_sweep: emit("fault_sweep", bench_fault_sweep(fault_rate)),
         static_verify: emit("static_verify", bench_static_verify()),
         serve_throughput: emit("serve_throughput", bench_serve_throughput(host_cores)),
@@ -1022,169 +1015,6 @@ fn bench_emulator_dgemm() -> EmulatorDgemm {
         tiny_identical: tiny_monitored.output == tiny_batched
             && tiny_monitored.outcome.findings.is_empty()
             && tiny_monitored.outcome.suppressed == 0,
-    }
-}
-
-/// The `host_kernels` section: the packed register-tiled DGEMM against the
-/// unpacked blocked baseline and against its multi-threaded form, and the
-/// twiddle-hoisted 2-D FFT against its chunk-claiming parallel form, all
-/// on the same inputs in each round.
-#[derive(serde::Serialize)]
-struct HostKernels {
-    dgemm_shape: String,
-    fft2d_shape: String,
-    /// Instruction-set tier the packed DGEMM dispatched to (`avx2` or
-    /// `scalar`).
-    simd_dispatch: String,
-    /// Workers of the timed multi-threaded runs; identity is also checked
-    /// at 1 and 2.
-    threads: usize,
-    rounds: usize,
-    /// The unpacked three-loop blocked DGEMM, median seconds.
-    dgemm_unpacked_secs: f64,
-    /// The packed 4x8 register-tiled DGEMM, serial.
-    dgemm_packed_secs: f64,
-    /// `dgemm_blocked_mt` at `threads` workers.
-    dgemm_mt_secs: f64,
-    fft2d_serial_secs: f64,
-    /// `fft2d_parallel` at `threads` workers.
-    fft2d_mt_secs: f64,
-    /// `unpacked / packed` per round: gated >= 1.5x.
-    dgemm_speedup: Spread,
-    /// `packed / multi-threaded`: gated >= 1.3x where `speedup_gate` is
-    /// enforced.
-    dgemm_mt_speedup: Spread,
-    /// `serial / parallel` 2-D FFT: gated like `dgemm_mt_speedup`.
-    fft2d_mt_speedup: Spread,
-    /// Packed output matches the unpacked baseline to 1e-8 absolute.
-    dgemm_results_match: bool,
-    /// The multi-threaded DGEMM equals the serial packed one bitwise at 1,
-    /// 2 and `threads` workers.
-    dgemm_identical_across_threads: bool,
-    /// The parallel 2-D FFT equals the serial one bitwise at 1, 2 and
-    /// `threads` workers.
-    fft2d_identical_across_threads: bool,
-    speedup_gate: SpeedupGate,
-}
-
-impl Section for HostKernels {
-    fn failures(&self, check: bool) -> Vec<String> {
-        let mut f = Failures::new(check);
-        f.require(self.dgemm_results_match, "packed DGEMM diverged from the unpacked baseline");
-        f.require(
-            self.dgemm_identical_across_threads,
-            "multi-threaded DGEMM is not bitwise-identical to the serial kernel at 1/2/8 threads",
-        );
-        f.require(
-            self.fft2d_identical_across_threads,
-            "parallel 2-D FFT is not bitwise-identical to the serial kernel at 1/2/8 threads",
-        );
-        f.bound(
-            self.dgemm_speedup.median >= 1.5,
-            format!(
-                "packed DGEMM speedup {} over the unpacked baseline is below 1.5x",
-                self.dgemm_speedup
-            ),
-        );
-        for (what, speedup) in [
-            ("multi-threaded DGEMM", self.dgemm_mt_speedup),
-            ("parallel 2-D FFT", self.fft2d_mt_speedup),
-        ] {
-            f.bound(
-                !self.speedup_gate.enforced || speedup.median >= 1.3,
-                format!(
-                    "{what} speedup {speedup} at {} threads is below 1.3x (host has {} cores)",
-                    self.threads, self.speedup_gate.host_cores
-                ),
-            );
-        }
-        f.failed
-    }
-}
-
-fn bench_host_kernels(host_cores: usize) -> HostKernels {
-    use enprop_kernels::{
-        dgemm_blocked, dgemm_blocked_mt, dgemm_blocked_unpacked, fft2d_parallel, fft2d_serial,
-        Complex,
-    };
-
-    let threads = 8usize;
-    let (m, k, n, bs) = (256usize, 256usize, 256usize, 64usize);
-    let a: Vec<f64> = (0..m * k).map(|i| ((i % 11) as f64 - 5.0) * 0.25).collect();
-    let b: Vec<f64> = (0..k * n).map(|i| ((i % 13) as f64 - 6.0) * 0.125).collect();
-    let c0: Vec<f64> = (0..m * n).map(|i| ((i % 7) as f64 - 3.0) * 0.5).collect();
-    let fft_n = 512usize;
-    let signal: Vec<Complex> = (0..fft_n * fft_n)
-        .map(|i| Complex::new(((i % 17) as f64 - 8.0) * 0.1, ((i % 19) as f64 - 9.0) * 0.1))
-        .collect();
-    let fbits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let cbits =
-        |s: &[Complex]| s.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect::<Vec<_>>();
-    // One run on a fresh copy of C or of the signal: seconds and output.
-    let gemm = |kernel: &dyn Fn(&mut [f64])| {
-        let mut c = c0.clone();
-        (timed(|| kernel(&mut c)).0, c)
-    };
-    let fft = |kernel: &dyn Fn(&mut [Complex])| {
-        let mut x = signal.clone();
-        (timed(|| kernel(&mut x)).0, x)
-    };
-    let mt = |t: usize, c: &mut [f64]| dgemm_blocked_mt(1.25, &a, &b, 0.75, c, m, k, n, bs, t);
-
-    let (mut unpacked, mut packed, mut dgemm_mt) = (None, None, None);
-    let (mut fft_serial, mut fft_mt) = (None, None);
-    let times = time_rounds(
-        ROUNDS,
-        &mut [
-            &mut || {
-                let kernel =
-                    |c: &mut [f64]| dgemm_blocked_unpacked(1.25, &a, &b, 0.75, c, m, k, n, bs);
-                keep(&mut unpacked, gemm(&kernel))
-            },
-            &mut || {
-                let kernel = |c: &mut [f64]| dgemm_blocked(1.25, &a, &b, 0.75, c, m, k, n, bs);
-                keep(&mut packed, gemm(&kernel))
-            },
-            &mut || keep(&mut dgemm_mt, gemm(&|c| mt(threads, c))),
-            &mut || keep(&mut fft_serial, fft(&|x| fft2d_serial(x, fft_n))),
-            &mut || keep(&mut fft_mt, fft(&|x| fft2d_parallel(x, fft_n, threads))),
-        ],
-    );
-    let [unpacked, packed, dgemm_mt] = [unpacked, packed, dgemm_mt].map(|c| c.expect("rounds ran"));
-    let [fft_serial, fft_mt] = [fft_serial, fft_mt].map(|x| x.expect("rounds ran"));
-    let max_abs_diff =
-        unpacked.iter().zip(&packed).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
-
-    // Identity at 1 and 2 workers, untimed, next to the timed runs at `threads`.
-    let dgemm_identical_across_threads = [1, 2]
-        .map(|t| gemm(&|c| mt(t, c)).1)
-        .iter()
-        .chain([&dgemm_mt])
-        .all(|c| fbits(c) == fbits(&packed));
-    let fft2d_identical_across_threads = [1, 2]
-        .map(|t| fft(&|x| fft2d_parallel(x, fft_n, t)).1)
-        .iter()
-        .chain([&fft_mt])
-        .all(|x| cbits(x) == cbits(&fft_serial));
-
-    HostKernels {
-        dgemm_shape: format!("m=k=n={m}, bs={bs}, alpha=1.25, beta=0.75"),
-        fft2d_shape: format!("{fft_n} x {fft_n}"),
-        simd_dispatch: enprop_kernels::simd_dispatch().to_string(),
-        threads,
-        rounds: times.count(),
-        dgemm_unpacked_secs: times.median(0),
-        dgemm_packed_secs: times.median(1),
-        dgemm_mt_secs: times.median(2),
-        fft2d_serial_secs: times.median(3),
-        fft2d_mt_secs: times.median(4),
-        dgemm_speedup: times.ratio(0, 1),
-        dgemm_mt_speedup: times.ratio(1, 2),
-        fft2d_mt_speedup: times.ratio(3, 4),
-        dgemm_results_match: max_abs_diff < 1e-8,
-        dgemm_identical_across_threads,
-        fft2d_identical_across_threads,
-        speedup_gate: SpeedupGate::on_cores(host_cores, "MT-kernel"),
     }
 }
 
@@ -1950,28 +1780,6 @@ mod tests {
         }
     }
 
-    fn host_kernels(gate: SpeedupGate) -> HostKernels {
-        HostKernels {
-            dgemm_shape: String::new(),
-            fft2d_shape: String::new(),
-            simd_dispatch: "avx2".into(),
-            threads: 8,
-            rounds: ROUNDS,
-            dgemm_unpacked_secs: 0.007,
-            dgemm_packed_secs: 0.003,
-            dgemm_mt_secs: 0.001,
-            fft2d_serial_secs: 0.015,
-            fft2d_mt_secs: 0.005,
-            dgemm_speedup: flat(2.2),
-            dgemm_mt_speedup: flat(3.0),
-            fft2d_mt_speedup: flat(3.0),
-            dgemm_results_match: true,
-            dgemm_identical_across_threads: true,
-            fft2d_identical_across_threads: true,
-            speedup_gate: gate,
-        }
-    }
-
     fn fault_sweep() -> FaultSweep {
         FaultSweep {
             workload: String::new(),
@@ -2111,14 +1919,6 @@ mod tests {
     }
 
     #[test]
-    fn host_kernels_fail_identity_always_and_speedup_under_check() {
-        let mut h = host_kernels(SpeedupGate::enforced(8));
-        h.dgemm_speedup = flat(1.4);
-        h.fft2d_identical_across_threads = false;
-        assert_fails(&h, "parallel 2-D FFT", "below 1.5x");
-    }
-
-    #[test]
     fn fault_sweep_fails_identity_always_and_journal_overhead_under_check() {
         let mut f = fault_sweep();
         f.journal_overhead = flat(1.101);
@@ -2155,13 +1955,9 @@ mod tests {
         let mut s = sweep(SpeedupGate::on_cores(2, "parallel"));
         s.speedup = flat(0.9);
         assert!(s.failures(true).is_empty());
-
-        let mut h = host_kernels(SpeedupGate::on_cores(2, "MT-kernel"));
-        h.dgemm_mt_speedup = flat(0.5);
-        h.fft2d_mt_speedup = flat(0.5);
-        assert!(h.failures(true).is_empty());
-        h.speedup_gate = SpeedupGate::on_cores(4, "MT-kernel");
-        assert_eq!(h.failures(true).len(), 2);
+        s.speedup_gate = SpeedupGate::on_cores(4, "parallel");
+        assert_eq!(s.failures(true).len(), 1);
+        assert!(s.failures(false).is_empty());
 
         let mut v = serve(SpeedupGate::skipped(2, "no loopback".into()));
         v.ok = 0;
@@ -2176,7 +1972,6 @@ mod tests {
             host_cores: 2,
             sweep: sweep(SpeedupGate::on_cores(2, "parallel")),
             emulator_dgemm: emulator_dgemm(),
-            host_kernels: host_kernels(SpeedupGate::on_cores(2, "MT-kernel")),
             fault_sweep: fault_sweep(),
             static_verify: static_verify(),
             serve_throughput: serve(SpeedupGate::enforced(2)),

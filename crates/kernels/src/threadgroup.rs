@@ -150,18 +150,28 @@ mod tests {
         (a, b, c)
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn parallel_matches_reference_for_various_configs() {
         let n = 48;
         let (a, b, reference) = reference_product(n);
+        // Every layout and block size gives the same bits: the one threaded
+        // host kernel keeps the thread-count determinism contract.
+        let mut first: Option<Vec<u64>> = None;
         for &(p, t) in &[(1, 1), (1, 4), (2, 2), (4, 1), (3, 2), (2, 5)] {
-            let mut c = Matrix::square(n);
-            let cfg = ThreadgroupConfig { groups: p, threads_per_group: t, block_size: 8 };
-            let run = dgemm_threadgroups(cfg, &a, &b, &mut c);
-            assert!(reference.max_abs_diff(&c) < 1e-10, "p={p} t={t}");
-            assert_eq!(run.thread_seconds.len(), p * t);
-            assert!(run.wall_seconds > 0.0);
-            assert_eq!(run.flops, 2.0 * (n as f64).powi(3));
+            for &bs in &[1usize, 5, 8, 48] {
+                let mut c = Matrix::square(n);
+                let cfg = ThreadgroupConfig { groups: p, threads_per_group: t, block_size: bs };
+                let run = dgemm_threadgroups(cfg, &a, &b, &mut c);
+                assert!(reference.max_abs_diff(&c) < 1e-10, "p={p} t={t} bs={bs}");
+                assert_eq!(*first.get_or_insert_with(|| bits(&c)), bits(&c), "p={p} t={t} bs={bs}");
+                assert_eq!(run.thread_seconds.len(), p * t);
+                assert!(run.wall_seconds > 0.0);
+                assert_eq!(run.flops, 2.0 * (n as f64).powi(3));
+            }
         }
     }
 

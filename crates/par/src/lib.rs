@@ -5,7 +5,7 @@
 //!
 //! Every parallel path in the workspace — measured sweeps, emulator block
 //! waves, sanitizer launches, static-verifier probes and lattice configs,
-//! the threaded host kernels, the legacy engine's threads and the serve
+//! the threadgroup host DGEMM, the legacy engine's threads and the serve
 //! load generator's clients — runs on one of three shapes:
 //!
 //! * [`map_with`]: a map over `0..len` with per-worker state, one index
