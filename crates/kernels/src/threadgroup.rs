@@ -27,6 +27,23 @@ impl ThreadgroupConfig {
     pub fn total_threads(&self) -> usize {
         self.groups * self.threads_per_group
     }
+
+    /// Load imbalance of the work this layout hands out for an `N × N`
+    /// product: (max − min) / max of the rows per thread, each row being the
+    /// same `2N²` flops. It is 0 when `p·t` divides N and
+    /// `(⌈N/pt⌉ − ⌊N/pt⌋)/⌈N/pt⌉` otherwise, however busy the host is;
+    /// [`ThreadgroupRun::thread_seconds`] shows what the scheduler made of it.
+    pub fn row_imbalance(&self, n: usize) -> f64 {
+        assert!(self.total_threads() >= 1, "at least one thread required");
+        let rows = band_ranges(n, self.groups, self.threads_per_group);
+        let max = rows.iter().map(|r| r.1).max().unwrap_or(0);
+        let min = rows.iter().map(|r| r.1).min().unwrap_or(0);
+        if max == 0 {
+            0.0
+        } else {
+            (max - min) as f64 / max as f64
+        }
+    }
 }
 
 /// Timing and accounting of one threadgroup run.
@@ -34,7 +51,8 @@ impl ThreadgroupConfig {
 pub struct ThreadgroupRun {
     /// Wall-clock time of the whole parallel region, seconds.
     pub wall_seconds: f64,
-    /// Per-thread busy time, seconds, indexed `group * t + thread`.
+    /// Per-thread busy time, seconds, indexed `group * t + thread`. Wall
+    /// clock, so it includes whatever the host's scheduler adds.
     pub thread_seconds: Vec<f64>,
     /// Total flops performed (`2 N³` for the full product).
     pub flops: f64,
@@ -44,17 +62,6 @@ impl ThreadgroupRun {
     /// Aggregate throughput in flop/s.
     pub fn flops_per_second(&self) -> f64 {
         self.flops / self.wall_seconds
-    }
-
-    /// Load imbalance: (max − min) / max of per-thread busy times.
-    pub fn imbalance(&self) -> f64 {
-        let max = self.thread_seconds.iter().cloned().fold(f64::MIN, f64::max);
-        let min = self.thread_seconds.iter().cloned().fold(f64::MAX, f64::min);
-        if max <= 0.0 {
-            0.0
-        } else {
-            (max - min) / max
-        }
     }
 }
 
@@ -213,7 +220,29 @@ mod tests {
         let cfg = ThreadgroupConfig { groups: 2, threads_per_group: 2, block_size: 8 };
         let run = dgemm_threadgroups(cfg, &a, &b, &mut c);
         assert!(run.flops_per_second() > 0.0);
-        assert!((0.0..=1.0).contains(&run.imbalance()));
+        assert_eq!(cfg.row_imbalance(n), 0.0);
+    }
+
+    #[test]
+    fn row_imbalance_measures_the_rows_handed_out() {
+        // (N, p, t, imbalance): 0 wherever p·t divides N, else
+        // (⌈N/pt⌉ − ⌊N/pt⌋)/⌈N/pt⌉, whatever the threads' timings.
+        for &(n, p, t, want) in &[
+            (12usize, 2usize, 2usize, 0.0),
+            (12, 4, 1, 0.0),
+            (12, 1, 3, 0.0),
+            (10, 4, 1, 1.0 / 3.0),
+            (10, 2, 2, 1.0 / 3.0),
+            (10, 1, 4, 1.0 / 3.0),
+            (37, 3, 4, 0.25),
+        ] {
+            let cfg = ThreadgroupConfig { groups: p, threads_per_group: t, block_size: 4 };
+            let rows: Vec<usize> = band_ranges(n, p, t).iter().map(|r| r.1).collect();
+            let pt = p * t;
+            assert_eq!(rows.iter().max(), Some(&n.div_ceil(pt)), "N={n} p={p} t={t}");
+            assert_eq!(rows.iter().min(), Some(&(n / pt)), "N={n} p={p} t={t}");
+            assert_eq!(cfg.row_imbalance(n), want, "N={n} p={p} t={t}");
+        }
     }
 
     #[test]

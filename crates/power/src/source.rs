@@ -17,10 +17,13 @@ pub trait PowerSource {
     /// in watts: `out[i]` equals `power_at(Seconds(at[i]))` bit for bit.
     /// It exists so that a meter makes one dynamic call per chunk of
     /// samples instead of one per sample; inside this provided body
-    /// `power_at` is a static call the compiler can inline. Panics unless
-    /// `at` and `out` have the same length.
+    /// `power_at` is a static call the compiler can inline. The times must
+    /// be non-negative and non-decreasing, as a meter's timestamps are, so
+    /// that a source may fill each run of times with one draw at once.
+    /// Panics unless they are, and unless `at` and `out` have the same
+    /// length.
     fn power_at_each(&self, at: &[f64], out: &mut [f64]) {
-        assert_eq!(at.len(), out.len(), "one output per time");
+        check_times(at, out);
         for (p, &t) in out.iter_mut().zip(at) {
             *p = self.power_at(Seconds(t)).value();
         }
@@ -41,6 +44,18 @@ pub trait PowerSource {
         }
         enprop_units::Joules(acc * h)
     }
+}
+
+/// [`PowerSource::power_at_each`]'s contract: one output per time, and
+/// times that are non-negative and non-decreasing (so never NaN), checked
+/// in one branch-free pass.
+fn check_times(at: &[f64], out: &[f64]) {
+    assert_eq!(at.len(), out.len(), "one output per time");
+    let ordered = at.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
+    assert!(
+        ordered & at.first().is_none_or(|&t| t >= 0.0),
+        "times must be non-negative and non-decreasing"
+    );
 }
 
 /// A constant draw for a fixed duration — the shape of a steady kernel.
@@ -142,6 +157,27 @@ impl PowerSource for PiecewiseLoad {
         Watts::ZERO
     }
 
+    /// One `fill` per segment. The times are non-decreasing, so those at or
+    /// before a segment's end are a prefix of the ones not yet filled; the
+    /// prefix is counted against the end accumulated exactly as
+    /// [`power_at`](Self::power_at) accumulates it, and times past the last
+    /// end draw nothing.
+    fn power_at_each(&self, at: &[f64], out: &mut [f64]) {
+        check_times(at, out);
+        let mut filled = 0;
+        let mut elapsed = 0.0;
+        for &(len, w) in &self.segments {
+            if filled == at.len() {
+                break;
+            }
+            elapsed += len.value();
+            let run = at[filled..].iter().filter(|&&t| t <= elapsed).count();
+            out[filled..filled + run].fill(w.value());
+            filled += run;
+        }
+        out[filled..].fill(Watts::ZERO.value());
+    }
+
     fn duration(&self) -> Seconds {
         Seconds(self.segments.iter().map(|(l, _)| l.value()).sum())
     }
@@ -236,6 +272,112 @@ mod tests {
         // ∫₀² 10 t dt = 20.
         let e = Ramp.energy();
         assert!((e.value() - 20.0).abs() < 1e-6, "{e}");
+    }
+
+    /// `power_at_each` over `at` equals `power_at` at each time, bit for bit.
+    fn assert_fill_matches(load: &PiecewiseLoad, at: &[f64]) {
+        let mut out = vec![f64::NAN; at.len()];
+        load.power_at_each(at, &mut out);
+        for (&t, &p) in at.iter().zip(&out) {
+            assert_eq!(p.to_bits(), load.power_at(Seconds(t)).value().to_bits(), "t = {t:e}");
+        }
+    }
+
+    /// Times from 0 in steps of `period`, accumulated as a meter does.
+    fn accumulated(period: f64, count: usize) -> Vec<f64> {
+        let mut t = 0.0;
+        (0..count)
+            .map(|_| {
+                let at = t;
+                t += period;
+                at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn piecewise_fill_matches_power_at_on_segment_ends() {
+        // The ends accumulate to 0.1, 0.30000000000000004 and 1.0 s, and
+        // 10 Hz timestamps land exactly on the first two; 0.9999999999999999
+        // falls an ulp short of the last.
+        let fine = PiecewiseLoad::from_segments(vec![
+            (Seconds(0.1), Watts(180.0)),
+            (Seconds(0.2), Watts(60.0)),
+            (Seconds(0.7), Watts(125.0)),
+        ]);
+        let ten_hz = accumulated(0.1, 13);
+        assert_eq!(ten_hz[3], 0.30000000000000004);
+        assert_eq!(ten_hz[10], 0.9999999999999999);
+        assert_fill_matches(&fine, &ten_hz);
+        let ends: [f64; 3] = [0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.7];
+        let around: Vec<f64> = ends.iter().flat_map(|&e| [e.next_down(), e, e.next_up()]).collect();
+        assert_fill_matches(&fine, &around);
+        let mut out = [0.0; 9];
+        fine.power_at_each(&around, &mut out);
+        assert_eq!(out, [180.0, 180.0, 60.0, 60.0, 60.0, 125.0, 125.0, 125.0, 0.0]);
+    }
+
+    #[test]
+    fn piecewise_fill_matches_power_at_where_ends_round_equal() {
+        // 1 s + 1e-17 s rounds to 1 s: the middle segment ends where the
+        // first does, so no time draws its 70 W.
+        let load = PiecewiseLoad::from_segments(vec![
+            (Seconds(1.0), Watts(50.0)),
+            (Seconds(1e-17), Watts(70.0)),
+            (Seconds(2.0), Watts(90.0)),
+        ]);
+        let at = [0.0, 0.5, 1.0f64.next_down(), 1.0, 1.0f64.next_up(), 2.0, 3.0, 3.5];
+        assert_fill_matches(&load, &at);
+        let mut out = [0.0; 8];
+        load.power_at_each(&at, &mut out);
+        assert_eq!(out, [50.0, 50.0, 50.0, 50.0, 90.0, 90.0, 90.0, 0.0]);
+    }
+
+    #[test]
+    fn piecewise_fill_matches_power_at_across_segments_and_past_the_end() {
+        // 64 times at 10 Hz span all five segments (4.2 s) and run past
+        // them; every tail of the chunk starts in a different place.
+        let load = PiecewiseLoad::from_segments(vec![
+            (Seconds(0.5), Watts(200.0)),
+            (Seconds(1.25), Watts(150.0)),
+            (Seconds(0.3), Watts(175.0)),
+            (Seconds(2.0), Watts(120.0)),
+            (Seconds(0.15), Watts(300.0)),
+        ]);
+        let at = accumulated(0.1, 64);
+        for from in 0..=at.len() {
+            assert_fill_matches(&load, &at[from..]);
+        }
+        assert_fill_matches(&load, &[4.2, 5.0, 5.0, 1e9]);
+        assert_fill_matches(&PiecewiseLoad::new(), &at);
+    }
+
+    #[test]
+    #[should_panic(expected = "times must be non-negative and non-decreasing")]
+    fn provided_fill_rejects_decreasing_times() {
+        let load = ConstantLoad::new(Watts(100.0), Seconds(2.0));
+        load.power_at_each(&[0.0, 1.0, 0.5], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "times must be non-negative and non-decreasing")]
+    fn provided_fill_rejects_negative_times() {
+        let load = ConstantLoad::new(Watts(100.0), Seconds(2.0));
+        load.power_at_each(&[-0.5, 1.0], &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "times must be non-negative and non-decreasing")]
+    fn piecewise_fill_rejects_decreasing_times() {
+        let load = PiecewiseLoad::from_segments(vec![(Seconds(2.0), Watts(100.0))]);
+        load.power_at_each(&[0.0, 1.0, 0.5], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "times must be non-negative and non-decreasing")]
+    fn piecewise_fill_rejects_negative_times() {
+        let load = PiecewiseLoad::from_segments(vec![(Seconds(2.0), Watts(100.0))]);
+        load.power_at_each(&[-0.5, 1.0], &mut [0.0; 2]);
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! `g = √(−2 ln u₁)·cos(2π u₂)` from two SplitMix64 draws, added to the true
 //! draw, then rounded to the resolution — and [`SimulatedWattsUp::record`]
 //! returns exactly those bits. It gets there faster than evaluating libm per
-//! sample: readings are built in stack chunks of `CHUNK` samples, whose
-//! true draws come from one [`PowerSource::power_at_each`] call, and one
-//! branch-free body computes each chunk's draws in parallel lanes
-//! (`mix(state + k·γ)`), a polynomial estimate `ĝ`, and the reading wherever
-//! an exactness filter proves that the libm value falls in the same
-//! resolution step, in short passes over the chunk; elsewhere the libm
-//! expression is evaluated. The body is compiled for AVX-512, AVX2 and the
-//! baseline, and the host picks the tier. See DESIGN.md, "Meter hot path".
+//! sample: readings are built in chunks of `CHUNK` samples, whose
+//! timestamps accumulate in one pass and whose true draws come from one
+//! [`PowerSource::power_at_each`] call, and one branch-free body computes
+//! each chunk's draws in parallel lanes (`mix(state + k·γ)`), a polynomial
+//! estimate `ĝ`, and the reading wherever an exactness filter proves that
+//! the libm value falls in the same resolution step, in short passes over
+//! the chunk; elsewhere the libm expression is evaluated. No step branches
+//! per sample. The body is compiled for AVX-512, AVX2 and the baseline, and
+//! the host picks the tier. See DESIGN.md, "Meter hot path".
 
 use crate::source::PowerSource;
 use crate::splitmix::{mix, unit, GAMMA};
@@ -56,12 +57,31 @@ pub struct SimulatedWattsUp {
     state: u64,
     /// The instruction-set tier of the chunk body, never wider than the host.
     tier: Tier,
+    /// Working arrays of every reading's chunks, zeroed once per meter.
+    chunk: Box<Chunk>,
 }
 
-/// Samples per stack chunk of [`SimulatedWattsUp::record`]: large enough to
+/// Samples per chunk of [`SimulatedWattsUp::record`]: large enough to
 /// amortize the vectorized passes, small enough that the four chunk arrays
-/// (2 KiB) stay on the stack and in L1.
+/// (2 KiB) stay in L1.
 const CHUNK: usize = 64;
+
+/// The arrays one chunk of a reading is built in. `value` holds each
+/// sample's u₁, then its radius, then its reading value, and `angle` its
+/// u₂, then its angle. A meter owns one set, so that a reading zeroes none:
+/// every pass reads only entries that the same chunk wrote.
+struct Chunk {
+    at: [f64; CHUNK],
+    base: [f64; CHUNK],
+    value: [f64; CHUNK],
+    angle: [f64; CHUNK],
+}
+
+impl std::fmt::Debug for Chunk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Chunk").finish_non_exhaustive()
+    }
+}
 
 impl SimulatedWattsUp {
     /// Creates a meter for a node with the given idle floor. Panics on a
@@ -79,7 +99,13 @@ impl SimulatedWattsUp {
         assert!(spec.noise_sd_w.is_finite(), "noise standard deviation must be finite");
         assert!(spec.gain.is_finite(), "gain must be finite");
         assert!(idle_power.value() >= 0.0, "idle power must be non-negative");
-        Self { spec, idle_power, state: seed, tier: Tier::detect() }
+        let chunk = Box::new(Chunk {
+            at: [0.0; CHUNK],
+            base: [0.0; CHUNK],
+            value: [0.0; CHUNK],
+            angle: [0.0; CHUNK],
+        });
+        Self { spec, idle_power, state: seed, tier: Tier::detect(), chunk }
     }
 
     /// The node's idle floor as configured.
@@ -125,46 +151,70 @@ impl SimulatedWattsUp {
         let d = app.duration().value();
         // An infinite duration would append samples until memory runs out.
         assert!(d > 0.0 && d.is_finite(), "application must run for a positive, finite time");
-        // Samples below `d`, the final one at `d`, and one for round-off in
-        // the accumulated timestamps; capped so no duration reserves more
-        // than a million samples up front.
-        let mut trace = PowerTrace::with_capacity((d / period).min(1e6) as usize + 3);
-        // The chunk arrays, zeroed once per reading: `value` holds each
-        // sample's u₁, then its radius, then its reading value, and `angle`
-        // its u₂, then its angle.
-        let mut at = [0.0; CHUNK];
-        let mut base = [0.0; CHUNK];
-        let mut value = [0.0; CHUNK];
-        let mut angle = [0.0; CHUNK];
+        // Sample periods in the run: with the final sample at `d` and one
+        // for round-off in the accumulated timestamps, they size the trace
+        // (capped so no duration reserves more than a million samples up
+        // front) and bound the first chunk's lanes.
+        let periods = d / period;
+        let mut trace = PowerTrace::with_capacity(periods.min(1e6) as usize + 3);
+        let Chunk { at, base, value, angle } = &mut *self.chunk;
         let mut t = 0.0;
+        let mut lanes = lanes_left(periods);
         let mut done = false;
         while !done {
-            let mut n = 0;
-            while n < CHUNK && !done {
-                // Timestamps 0, period, 2·period, … while below `d`, then
-                // one final sample at exactly `d`.
-                done = t >= d;
-                at[n] = if done { d } else { t };
+            // Timestamps 0, period, 2·period, … while below `d`, then one
+            // final sample at exactly `d`: the lanes accumulate `t` and count
+            // those below `d`, and since they ascend, the first lane at or
+            // past `d` takes `d` and ends the reading.
+            let mut below = 0;
+            for a in &mut at[..lanes] {
+                *a = t;
+                below += usize::from(t < d);
                 t += period;
-                n += 1;
             }
+            let n = if below < lanes {
+                at[below] = d;
+                done = true;
+                below + 1
+            } else {
+                lanes
+            };
+            let (at, base) = (&at[..n], &mut base[..n]);
             // One dynamic call per chunk, then the noiseless reading.
-            app.power_at_each(&at[..n], &mut base[..n]);
-            for b in &mut base[..n] {
+            app.power_at_each(at, base);
+            for b in base.iter_mut() {
                 *b = (idle + *b) * spec.gain;
             }
             let state = self.state;
-            self.tier.values(spec, state, &base[..n], &mut value[..n], &mut angle[..n]);
-            trace.extend_ordered((0..n).map(|i| {
-                let v = value[i];
-                let q = if v.is_nan() { libm_value(spec, base[i], draws(state, i)) } else { v };
-                PowerSample { at: Seconds(at[i]), power: Watts(q.max(0.0)) }
-            }));
+            let value = &mut value[..n];
+            self.tier.values(spec, state, base, value, &mut angle[..n]);
+            // The filter's rare refusals take the libm expression; one
+            // branch-free scan tells whether the chunk has any.
+            if value.iter().fold(false, |any, v| any | v.is_nan()) {
+                for (i, v) in value.iter_mut().enumerate().filter(|(_, v)| v.is_nan()) {
+                    *v = libm_value(spec, base[i], draws(state, i));
+                }
+            }
+            trace.extend_ordered(
+                at.iter()
+                    .zip(&*value)
+                    .map(|(&at, &v)| PowerSample { at: Seconds(at), power: Watts(v.max(0.0)) }),
+            );
             // Two draws per sample.
             self.state = state.wrapping_add((2 * n as u64).wrapping_mul(GAMMA));
+            lanes = lanes_left((d - t) / period);
         }
         trace
     }
+}
+
+/// Lanes for a chunk that starts `periods` sample periods before the
+/// reading's end: the samples below the end, the final one, and one for
+/// round-off in the accumulated timestamps, at most a chunk. Any count of
+/// at least one gives the same reading; a smaller one adds a chunk, a
+/// larger one computes lanes past the end.
+fn lanes_left(periods: f64) -> usize {
+    (periods as usize).saturating_add(2).min(CHUNK)
 }
 
 /// `u₁`'s range: the vendored `StdRng`'s `gen_range(1e-12..1.0)` maps a
@@ -607,6 +657,30 @@ mod tests {
         ConstantLoad::new(Watts(0.0), Seconds(window))
     }
 
+    /// Records `apps` back to back on `meter` and through the reference
+    /// loop on `rng`, and requires the same bits for every timestamp and
+    /// reading, and the same RNG state after every reading. Returns the
+    /// samples compared.
+    fn assert_matches_reference(
+        meter: &mut SimulatedWattsUp,
+        rng: &mut StdRng,
+        apps: &[&dyn PowerSource],
+        what: &str,
+    ) -> usize {
+        let mut samples = 0;
+        for &app in apps {
+            let got = meter.record(app);
+            let want = reference_record(meter.spec, meter.idle_power, rng, app);
+            assert_eq!(bits(&got), bits(&want), "{what}, {} samples", want.len());
+            // The vendored `StdRng` is SplitMix64 seeded with its state, so
+            // this compares the states the two leave.
+            let after = StdRng::seed_from_u64(meter.state).next_u64();
+            assert_eq!(after, rng.clone().next_u64(), "RNG state after {what}");
+            samples += got.len();
+        }
+        samples
+    }
+
     #[test]
     fn chunked_meter_matches_the_libm_reference_bit_for_bit() {
         let specs = [
@@ -629,8 +703,7 @@ mod tests {
         ]);
         // Readings of 2 and 3 samples (the shortest runs a sweep meters), a
         // 121-sample baseline, chunk-boundary lengths, ≥ 6k-sample runs,
-        // warm-ups, and zero draws — all recorded back to back, so the RNG
-        // state each reading leaves behind is compared too.
+        // warm-ups, and zero draws — all recorded back to back.
         let zero = idle(0.4);
         let two = ConstantLoad::new(Watts(150.0), Seconds(0.7));
         let three = ConstantLoad::new(Watts(37.5), Seconds(1.7));
@@ -646,21 +719,8 @@ mod tests {
                 for seed in 0..3 {
                     let mut meter = SimulatedWattsUp::new(spec, Watts(idle_w), seed);
                     let mut rng = StdRng::seed_from_u64(seed);
-                    for &app in &apps {
-                        let got = meter.record(app);
-                        let want = reference_record(spec, Watts(idle_w), &mut rng, app);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "spec {spec:?}, idle {idle_w} W, seed {seed}, {} samples",
-                            want.len()
-                        );
-                        samples += got.len();
-                    }
-                    // The vendored `StdRng` is SplitMix64 seeded with its
-                    // state, so this compares the states the two leave.
-                    let after = StdRng::seed_from_u64(meter.state).next_u64();
-                    assert_eq!(after, rng.next_u64(), "RNG state after {spec:?}");
+                    let what = format!("spec {spec:?}, idle {idle_w} W, seed {seed}");
+                    samples += assert_matches_reference(&mut meter, &mut rng, &apps, &what);
                 }
             }
         }
@@ -669,11 +729,20 @@ mod tests {
         for seed in 0..300 {
             let mut meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(110.0), seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            for &app in &[&baseline as &dyn PowerSource, &two, &three, &warm_up] {
-                let want = reference_record(MeterSpec::default(), Watts(110.0), &mut rng, app);
-                assert_eq!(bits(&meter.record(app)), bits(&want), "seed {seed}");
-            }
+            let apps = [&baseline as &dyn PowerSource, &two, &three, &warm_up];
+            assert_matches_reference(&mut meter, &mut rng, &apps, &format!("seed {seed}"));
         }
+        // Every length from 2 to 130 samples (a reading always holds its
+        // start and its end), so every chunk bound and last-chunk length
+        // occurs: durations on the sample grid and halfway between.
+        let lengths: Vec<ConstantLoad> = (1..=129)
+            .flat_map(|k| [k as f64 - 0.5, k as f64])
+            .map(|d| ConstantLoad::new(Watts(120.0), Seconds(d)))
+            .collect();
+        let apps: Vec<&dyn PowerSource> = lengths.iter().map(|l| l as &dyn PowerSource).collect();
+        let mut meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(90.0), 5);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_matches_reference(&mut meter, &mut rng, &apps, "every length");
         // The fill at segment ends: at 10 Hz the accumulated timestamps and
         // the segment ends both round, so samples land exactly on each end
         // (0.1, 0.30000000000000004 and 1.0 s) and one an ulp short of the
@@ -686,20 +755,48 @@ mod tests {
         ]);
         let composite =
             CompositeLoad::new(fine.clone(), ConstantLoad::new(Watts(58.0), Seconds(0.3)));
-        for spec in [
-            MeterSpec { sample_hz: 10.0, ..MeterSpec::default() },
-            MeterSpec { sample_hz: 10.0, noise_sd_w: 0.0, ..MeterSpec::default() },
-            MeterSpec { sample_hz: 10.0, gain: 0.97, resolution_w: 0.5, ..MeterSpec::default() },
-        ] {
-            for seed in 0..50 {
-                let mut meter = SimulatedWattsUp::new(spec, Watts(90.0), seed);
-                let mut rng = StdRng::seed_from_u64(seed);
-                for &app in &[&fine as &dyn PowerSource, &composite, &fine] {
-                    let want = reference_record(spec, Watts(90.0), &mut rng, app);
-                    assert_eq!(bits(&meter.record(app)), bits(&want), "{spec:?}, seed {seed}");
+        // Warm-ups that end exactly on sample 63 (a first chunk's last),
+        // 64 or 65, at 1 Hz and at 10 Hz: each ends at that sample's
+        // accumulated timestamp.
+        let warm_ups = |period: f64| -> Vec<PiecewiseLoad> {
+            [63, 64, 65]
+                .into_iter()
+                .map(|sample| {
+                    let end = (0..sample).fold(0.0, |t, _| t + period);
+                    PiecewiseLoad::from_segments(vec![
+                        (Seconds(end), Watts(230.0)),
+                        (Seconds(100.0 * period), Watts(140.0)),
+                    ])
+                })
+                .collect()
+        };
+        for (hz, warm_ups) in [(1.0, warm_ups(1.0)), (10.0, warm_ups(0.1))] {
+            for spec in [
+                MeterSpec { sample_hz: hz, ..MeterSpec::default() },
+                MeterSpec { sample_hz: hz, noise_sd_w: 0.0, ..MeterSpec::default() },
+                MeterSpec { sample_hz: hz, gain: 0.97, resolution_w: 0.5, ..MeterSpec::default() },
+            ] {
+                for seed in 0..50 {
+                    let mut meter = SimulatedWattsUp::new(spec, Watts(90.0), seed);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut apps: Vec<&dyn PowerSource> = vec![&fine, &composite, &fine];
+                    apps.extend(warm_ups.iter().map(|w| w as &dyn PowerSource));
+                    let what = format!("{spec:?}, seed {seed}");
+                    assert_matches_reference(&mut meter, &mut rng, &apps, &what);
                 }
             }
         }
+        // The length a BS = 1 configuration's reading takes: over 200k
+        // samples after a warm-up, between two short readings.
+        let bs1 = PiecewiseLoad::from_segments(vec![
+            (Seconds(37.5), Watts(260.0)),
+            (Seconds(200_000.25), Watts(175.0)),
+        ]);
+        let mut meter = SimulatedWattsUp::new(MeterSpec::default(), Watts(110.0), 9);
+        let mut rng = StdRng::seed_from_u64(9);
+        let samples =
+            assert_matches_reference(&mut meter, &mut rng, &[&three, &bs1, &two], "BS = 1 length");
+        assert!(samples > 200_000, "{samples} samples compared");
     }
 
     #[test]

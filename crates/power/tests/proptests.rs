@@ -57,6 +57,39 @@ proptest! {
         prop_assert!((load.duration().value() - total_len).abs() < 1e-9);
     }
 
+    /// A piecewise load's chunk fill equals `power_at` bit for bit, in
+    /// chunks of any size, at a meter's accumulated timestamps, at each
+    /// accumulated segment end and its neighbours, and past the end.
+    #[test]
+    fn piecewise_fill_matches_power_at(
+        segs in prop::collection::vec((0.01f64..3.0, 0.0f64..300.0), 1..6),
+        period in 0.05f64..1.0,
+        extra in prop::collection::vec(0.0f64..12.0, 0..8),
+        chunk in 1usize..70,
+    ) {
+        let mut load = PiecewiseLoad::new();
+        let mut at = extra;
+        let mut end = 0.0f64;
+        for &(len, p) in &segs {
+            load.push(Seconds(len), Watts(p));
+            end += len;
+            at.extend([end.next_down(), end, end.next_up()]);
+        }
+        let mut t = 0.0;
+        while t < end + 2.0 * period {
+            at.push(t);
+            t += period;
+        }
+        at.sort_by(f64::total_cmp);
+        for times in at.chunks(chunk) {
+            let mut out = vec![f64::NAN; times.len()];
+            load.power_at_each(times, &mut out);
+            for (&t, &p) in times.iter().zip(&out) {
+                prop_assert_eq!(p.to_bits(), load.power_at(Seconds(t)).value().to_bits());
+            }
+        }
+    }
+
     /// Composite loads superpose: power and energy are sums.
     #[test]
     fn composite_superposition(

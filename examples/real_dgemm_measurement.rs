@@ -4,7 +4,9 @@
 //!
 //! The host has no wall-power meter, so energy is attached from the
 //! calibrated Haswell power model: this demonstrates the full
-//! measurement-analysis pipeline on genuine executions.
+//! measurement-analysis pipeline on genuine executions. The `row imbal.`
+//! column is the work imbalance of the layout's row bands,
+//! (max − min)/max rows per thread: 0 when `p·t` divides N.
 //!
 //! ```text
 //! cargo run --release --example real_dgemm_measurement [N]
@@ -23,20 +25,17 @@ fn main() {
     println!("real threadgroup DGEMM, N = {n} ({:.1e} flops per product):", flops);
     println!(
         "{:>10} {:>12} {:>10} {:>6} {:>10} {:>12}",
-        "config", "time[s]", "Gflop/s", "reps", "imbalance", "E_d(model)[J]"
+        "config", "time[s]", "Gflop/s", "reps", "row imbal.", "E_d(model)[J]"
     );
 
     let protocol = MeasureConfig { max_reps: 15, ..MeasureConfig::default() };
     for (p, t) in [(1usize, 1usize), (1, 2), (2, 1), (1, 4), (2, 2), (4, 1)] {
         let cfg = ThreadgroupConfig { groups: p, threads_per_group: t, block_size: 48 };
-        let mut last_imbalance = 0.0;
         // The paper's protocol: repeat the run until the sample mean of the
         // wall time lies in a 95% CI at 2.5% precision.
         let m = measure_until_ci(protocol, || {
             let mut c = Matrix::square(n);
-            let run = dgemm_threadgroups(cfg, &a, &b, &mut c);
-            last_imbalance = run.imbalance();
-            run.wall_seconds
+            dgemm_threadgroups(cfg, &a, &b, &mut c).wall_seconds
         });
         let gflops = flops / m.mean / 1.0e9;
 
@@ -46,8 +45,7 @@ fn main() {
         let per_core =
             sim.topology().power.core_w * (p * t).min(sim.topology().physical_cores()) as f64;
         let energy: Joules =
-            enprop::units::Watts(per_core + sim.topology().power.uncore_w * 0.5)
-                * Seconds(m.mean);
+            enprop::units::Watts(per_core + sim.topology().power.uncore_w * 0.5) * Seconds(m.mean);
 
         println!(
             "{:>10} {:>12.5} {:>10.2} {:>6} {:>9.1}% {:>12.2}",
@@ -55,7 +53,7 @@ fn main() {
             m.mean,
             gflops,
             m.reps,
-            last_imbalance * 100.0,
+            cfg.row_imbalance(n) * 100.0,
             energy.value()
         );
     }
